@@ -27,6 +27,7 @@ from .data import (
     RawInteraction,
     SplitPair,
     load_split,
+    load_train,
     parse_interactions,
     save_split,
     split_cold_start,
@@ -62,8 +63,8 @@ from .model import (
     ModelParams,
     forward,
     init_params,
-    rank_items,
     score,
+    top_m,
 )
 from .training import TrainConfig, bpr_loss, sample_batch, train
 

@@ -1,8 +1,9 @@
-"""ItemKNN and BPR matrix-factorization baselines.
+"""ItemKNN, BPR matrix-factorization and popularity baselines.
 
-Both share the evaluation module; BPR-MF also shares the triple sampler and
-the RMSprop step with the spectral model, so identical seeds produce
-identical triple sequences across the two models.
+All share the evaluation module. BPR-MF is the spectral model with no
+propagation layers (K = 0, factors = input embeddings), trained by the same
+loop: same triple sampler, pairwise loss, gradients and RMSprop step, so
+identical seeds produce identical triple sequences across the two models.
 """
 
 from __future__ import annotations
@@ -12,17 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import training
 from .data import InteractionSet
-from .errors import NumericError
-from .model import ModelParams
-from .training import (
-    TrainConfig,
-    _batch_arrays,
-    _stable_sigmoid_neg,
-    init_opt_state,
-    rmsprop_step,
-    sample_batch,
-)
+from .model import ModelConfig
 
 
 @dataclass
@@ -104,59 +97,18 @@ def popularity_scorer(train: InteractionSet):
     return scorer
 
 
-def _mf_gradients(model: BprMfModel, batch, reg: float):
-    r, j, jn = _batch_arrays(batch)
-    diff = np.einsum("ij,ij->i", model.P_u[r], model.Q_i[j] - model.Q_i[jn])
-    g = -_stable_sigmoid_neg(diff)
-    G_P = 2.0 * reg * model.P_u
-    G_Q = 2.0 * reg * model.Q_i
-    np.add.at(G_P, r, g[:, None] * (model.Q_i[j] - model.Q_i[jn]))
-    np.add.at(G_Q, j, g[:, None] * model.P_u[r])
-    np.add.at(G_Q, jn, -g[:, None] * model.P_u[r])
-    return G_P, G_Q
-
-
-def bpr_mf_loss(model: BprMfModel, batch, reg: float) -> float:
-    r, j, jn = _batch_arrays(batch)
-    diff = np.einsum("ij,ij->i", model.P_u[r], model.Q_i[j] - model.Q_i[jn])
-    loss = np.logaddexp(0.0, -diff).sum()
-    loss += reg * ((model.P_u ** 2).sum() + (model.Q_i ** 2).sum())
-    if not np.isfinite(loss):
-        raise NumericError("loss is not finite")
-    return float(loss)
-
-
-def fit_bpr_mf(train: InteractionSet, d: int, train_config: TrainConfig,
+def fit_bpr_mf(train: InteractionSet, d: int, train_config: training.TrainConfig,
                init_seed: int = 0):
-    """Optimize the pairwise loss on plain user/item embeddings.
+    """Optimize the pairwise loss on plain user/item embeddings of width d.
 
-    Same sampler, same optimizer and the same Gaussian(0.01, 0.02)
-    initialization as the spectral model; returns (model, loss history).
+    This is :func:`training.train` at K = 0, so it shares the sampler, the
+    loss, the gradients, the optimizer and the Gaussian(0.01, 0.02)
+    initialization with the spectral model; returns (model, loss history).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    init_rng = np.random.default_rng(init_seed)
-    P = init_rng.normal(0.01, 0.02, size=(train.n_users, d))
-    Q = init_rng.normal(0.01, 0.02, size=(train.n_items, d))
-    # Embeddings ride in the shared ModelParams/OptState containers (no filters).
-    params = ModelParams(X_u0=P, X_i0=Q, thetas=[])
-    opt = init_opt_state(params)
-
-    rng = np.random.default_rng(train_config.seed)
-    history = []
-    for _ in range(train_config.epochs):
-        losses = []
-        for _ in range(train_config.steps_per_epoch):
-            batch = sample_batch(train, train_config.batch_size, rng)
-            model = BprMfModel(params.X_u0, params.X_i0)
-            losses.append(bpr_mf_loss(model, batch, train_config.reg))
-            G_P, G_Q = _mf_gradients(model, batch, train_config.reg)
-            params, opt = rmsprop_step(
-                params, ModelParams(X_u0=G_P, X_i0=G_Q, thetas=[]), opt,
-                train_config.learning_rate, train_config.rms_decay,
-                train_config.rms_epsilon,
-            )
-        history.append(float(np.mean(losses)))
+    params, history = training.train(train, None, ModelConfig(K=0, C=d, seed=init_seed),
+                                     train_config)
     return BprMfModel(params.X_u0, params.X_i0), history
 
 

@@ -90,9 +90,7 @@ def load_checkpoint(path):
             K, C, F, n_users, n_items, decay, eps = struct.unpack("<IIIQQdd", fh.read(44))
             X_u0 = _read_array(fh, (n_users, C))
             X_i0 = _read_array(fh, (n_items, C))
-            thetas = [_read_array(fh, (C, F))]
-            for _ in range(1, K):
-                thetas.append(_read_array(fh, (F, F)))
+            thetas = [_read_array(fh, (C if k == 0 else F, F)) for k in range(K)]
             return SpectralCheckpoint(
                 params=ModelParams(X_u0, X_i0, thetas),
                 config=ModelConfig(K=K, C=C, F=F),

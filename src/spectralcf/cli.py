@@ -184,8 +184,7 @@ def _build_kernel(split_dir: Path, g, kernel_flag: str, normalization: str,
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
-    split = data.load_split(args.split_dir)
-    train_set = split.train
+    train_set = data.load_train(args.split_dir)
     g = graph.build_graph(train_set)
 
     which = str(_resolve(args, cfg, "model"))
@@ -250,9 +249,8 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _scorer_from_checkpoint(ckpt, split, args, cfg):
-    """Turn a loaded checkpoint into a per-user scoring function."""
-    train_set = split.train
+def _scorer_from_checkpoint(ckpt, train_set, args, cfg):
+    """Turn a loaded checkpoint into a scorer for ``evaluation.user_scores``."""
     if isinstance(ckpt, SpectralCheckpoint):
         if (ckpt.params.n_users != train_set.n_users
                 or ckpt.params.n_items != train_set.n_items):
@@ -277,7 +275,7 @@ def _scorer_from_checkpoint(ckpt, split, args, cfg):
                 f"{ckpt.model.Q_i.shape[0]} items, split has "
                 f"{train_set.n_users} x {train_set.n_items}"
             )
-        return baselines.bpr_mf_scorer(ckpt.model)
+        return model.FactorTable(V_u=ckpt.model.P_u, V_i=ckpt.model.Q_i)
     raise TypeError(f"cannot score with {type(ckpt).__name__}")
 
 
@@ -285,7 +283,7 @@ def cmd_evaluate(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
     split = data.load_split(args.split_dir)
     ckpt = load_checkpoint(args.checkpoint)
-    scorer = _scorer_from_checkpoint(ckpt, split, args, cfg)
+    scorer = _scorer_from_checkpoint(ckpt, split.train, args, cfg)
 
     cutoffs = [int(tok) for tok in str(_resolve(args, cfg, "cutoffs")).split(",") if tok]
     denom = str(_resolve(args, cfg, "map_denom"))
@@ -316,25 +314,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_recommend(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
-    split = data.load_split(args.split_dir)
-    train_set = split.train
+    train_set = data.load_train(args.split_dir)
     ckpt = load_checkpoint(args.checkpoint)
-    scorer = _scorer_from_checkpoint(ckpt, split, args, cfg)
+    scorer = _scorer_from_checkpoint(ckpt, train_set, args, cfg)
 
     try:
         u = train_set.user_ids.index(args.user)
     except ValueError:
         raise ValueError(f"unknown user id: {args.user!r}") from None
 
-    if isinstance(scorer, model.FactorTable):
-        scores = scorer.V_i @ scorer.V_u[u]
-    else:
-        scores = np.asarray(scorer(u), dtype=np.float64)
+    scores = evaluation.user_scores(scorer, u, train_set.n_items)
     exclude = train_set.user_items[u] if args.exclude_seen else np.empty(0, dtype=np.int64)
-    candidates = np.setdiff1d(np.arange(train_set.n_items), exclude)
-    order = np.argsort(-scores[candidates], kind="stable")
-    top = candidates[order][: _resolve(args, cfg, "M")]
-    for i in top:
+    for i in model.top_m(scores, exclude, _resolve(args, cfg, "M")):
         print(f"{train_set.item_ids[i]}\t{scores[i]:.10f}")
     return 0
 
@@ -346,7 +337,7 @@ def cmd_recommend(args) -> int:
 def cmd_spectral_embed(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
     if args.split_dir is not None:
-        dataset = data.load_split(args.split_dir).train
+        dataset = data.load_train(args.split_dir)
     elif args.input is not None:
         fmt = str(_resolve(args, cfg, "format")).replace("-", "_")
         with open(args.input, "rb") as fh:

@@ -233,13 +233,16 @@ def _repair_isolated_items(train_pairs, test_pairs, n_items):
     user_train: dict[int, set[int]] = {}
     for u, j in train_pairs:
         user_train.setdefault(u, set()).add(j)
+    # Test holders of each missing item, gathered once. Exact: a demoted pair
+    # (u, j) has train_count[j] >= 2, so j is never an item awaiting repair.
+    holders_of: dict[int, list[int]] = {i: [] for i in missing}
+    for u, j in test_pairs:
+        if j in holders_of:
+            holders_of[j].append(u)
 
     n_swapped = n_promoted = 0
     for i in missing:
-        holders = sorted(
-            (u for (u, j) in test_pairs if j == i),
-            key=lambda u: (-test_size[u], u),
-        )
+        holders = sorted(holders_of[i], key=lambda u: (-test_size[u], u))
         swapped = False
         for u in holders:
             demotable = [j for j in user_train.get(u, ()) if train_count[j] >= 2]
@@ -386,14 +389,7 @@ def save_split(split: SplitPair, out_dir) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def load_split(in_dir) -> SplitPair:
-    """Load a persisted split.
-
-    The dense index space is rebuilt from train.tsv in order of first
-    appearance, so index values are deterministic given the files (they need
-    not match the in-memory split that wrote them; all ids round-trip).
-    """
-    src = Path(in_dir)
+def _read_meta(src: Path) -> dict[str, str]:
     meta: dict[str, str] = {}
     with open(src / "split.meta", encoding="utf-8") as fh:
         for line in fh:
@@ -401,7 +397,27 @@ def load_split(in_dir) -> SplitPair:
             if line:
                 key, _, value = line.partition("=")
                 meta[key] = value
+    return meta
 
+
+def _check_meta(meta: dict[str, str], checks: dict[str, int]) -> None:
+    for key, actual in checks.items():
+        if int(meta[key]) != actual:
+            raise ValueError(
+                f"split.meta says {key}={meta[key]} but the files contain {actual}"
+            )
+
+
+def load_train(in_dir) -> InteractionSet:
+    """Load the train half of a persisted split; test.tsv is not read.
+
+    The dense index space is rebuilt from train.tsv in order of first
+    appearance, so index values are deterministic given the files (they need
+    not match the in-memory split that wrote them; all ids round-trip).
+    The user, item and train-pair counts must match split.meta.
+    """
+    src = Path(in_dir)
+    meta = _read_meta(src)
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     train_pairs: set[tuple[int, int]] = set()
@@ -410,7 +426,25 @@ def load_split(in_dir) -> SplitPair:
             u = user_index.setdefault(rec.user_ext, len(user_index))
             i = item_index.setdefault(rec.item_ext, len(item_index))
             train_pairs.add((u, i))
+    train = _build_interaction_set(
+        train_pairs, len(user_index), len(item_index), list(user_index), list(item_index)
+    )
+    _check_meta(meta, {
+        "n_users": train.n_users,
+        "n_items": train.n_items,
+        "n_train": len(train_pairs),
+    })
+    return train
 
+
+def load_split(in_dir) -> SplitPair:
+    """Load a persisted split: :func:`load_train`, then test.tsv in the same
+    index space, its pair count checked against split.meta."""
+    src = Path(in_dir)
+    train = load_train(src)
+    meta = _read_meta(src)
+    user_index = {ext: u for u, ext in enumerate(train.user_ids)}
+    item_index = {ext: i for i, ext in enumerate(train.item_ids)}
     test_pairs: set[tuple[int, int]] = set()
     with open(src / "test.tsv", encoding="utf-8") as fh:
         for rec in parse_interactions(fh, "tsv"):
@@ -419,21 +453,7 @@ def load_split(in_dir) -> SplitPair:
                     f"test pair ({rec.user_ext}, {rec.item_ext}) outside the train index space"
                 )
             test_pairs.add((user_index[rec.user_ext], item_index[rec.item_ext]))
-
-    train = _build_interaction_set(
-        train_pairs, len(user_index), len(item_index), list(user_index), list(item_index)
-    )
-    checks = {
-        "n_users": train.n_users,
-        "n_items": train.n_items,
-        "n_train": len(train_pairs),
-        "n_test": len(test_pairs),
-    }
-    for key, actual in checks.items():
-        if int(meta[key]) != actual:
-            raise ValueError(
-                f"split.meta says {key}={meta[key]} but the files contain {actual}"
-            )
+    _check_meta(meta, {"n_test": len(test_pairs)})
     return SplitPair(
         train=train,
         test=test_pairs,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SplitPair
-from .model import FactorTable
+from .model import FactorTable, top_m
 
 MAP_DENOM_TRUNCATED = "truncated"  # min(|relevant|, M)
 MAP_DENOM_RELEVANT = "relevant"
@@ -55,7 +55,8 @@ def map_at_m(ranked, relevant: set, M: int, denom: str = MAP_DENOM_TRUNCATED) ->
     return precision_sum / denominator
 
 
-def _user_scores(scorer, u: int, n_items: int) -> np.ndarray:
+def user_scores(scorer, u: int, n_items: int) -> np.ndarray:
+    """Scores of every item for user u from a FactorTable or a scoring callable."""
     if isinstance(scorer, FactorTable):
         return scorer.V_i @ scorer.V_u[u]
     scores = np.asarray(scorer(u), dtype=np.float64)
@@ -86,19 +87,12 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
     per_user = []
     n_eval = 0
     max_m = cutoffs[-1]
-    all_items = np.arange(n_items)
     for u in range(train.n_users):
         relevant = test_by_user.get(u)
         if not relevant:
             continue
         n_eval += 1
-        seen = train.user_items[u]
-        candidates = np.delete(all_items, seen)
-        scores = _user_scores(scorer, u, n_items)[candidates]
-        order = np.argsort(-scores, kind="stable")
-        ranked = candidates[order[:max_m]]
-        assert not set(ranked.tolist()) & set(seen.tolist()), \
-            "training item leaked into the ranked list"
+        ranked = top_m(user_scores(scorer, u, n_items), train.user_items[u], max_m)
         row = {"user": u, "n_test": len(relevant)}
         for m in cutoffs:
             rec = recall_at_m(ranked, relevant, m)

@@ -28,6 +28,7 @@ KERNEL_CLOSED_SPARSE = "closed_sparse"
 
 _EIG_RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-9
+_ZERO_TOL = 1e-8  # eigenvalues below it count as zero (one per component)
 
 _CACHE_MAGIC = b"SPCF"
 _CACHE_VERSION = 1
@@ -64,16 +65,17 @@ class SpectralBasis:
 
 @dataclass
 class ConvKernel:
-    """The layer propagation matrix, as a dense eigen-product or sparse closed form."""
+    """The layer propagation matrix, as a dense eigen-product or sparse closed form.
+
+    Both forms are symmetric (the closed form exactly, the eigen-product to
+    rounding), so ``apply`` also serves the backward pass.
+    """
 
     form: str
     matrix: object  # ndarray for dense_eig, csr_matrix for closed_sparse
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.matrix @ X
-
-    def apply_transpose(self, X: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ X
 
 
 def build_graph(train: InteractionSet) -> BipartiteGraph:
@@ -246,10 +248,15 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
 
 
 def spectral_coordinates(basis: SpectralBasis, k: int) -> np.ndarray:
-    """Vertex coordinates from eigenvectors 1..k (the trivial 0th is skipped)."""
-    if not (1 <= k <= basis.n_vertices - 1):
-        raise DimensionError(f"k={k} out of range [1, {basis.n_vertices - 1}]")
-    return basis.eigenvectors[:, 1 : k + 1].copy()
+    """Vertex coordinates from the k eigenvectors after the zero-eigenvalue ones.
+
+    The zero eigenvalue repeats once per connected component and its
+    eigenvectors only indicate components, so all of them are skipped.
+    """
+    n_zero = int((basis.eigenvalues < _ZERO_TOL).sum())
+    if not (1 <= k <= basis.n_vertices - n_zero):
+        raise DimensionError(f"k={k} out of range [1, {basis.n_vertices - n_zero}]")
+    return basis.eigenvectors[:, n_zero : n_zero + k].copy()
 
 
 def save_basis(basis: SpectralBasis, path) -> None:

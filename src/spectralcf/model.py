@@ -1,8 +1,10 @@
-"""Model parameters, the layered spectral-convolution forward pass and scoring.
+"""Model parameters, the layered spectral-convolution forward pass and ranking.
 
 Layer k maps X_k to X_{k+1} = sigmoid(kernel @ X_k @ Theta_k) over the stacked
 user/item vertex matrix; the final factors concatenate every layer's output
-(including the raw input embeddings) column-wise.
+(including the raw input embeddings) column-wise. With K = 0 there is no
+propagation and the factors are the input embeddings themselves: plain
+matrix factorization (BPR-MF when trained with the pairwise loss).
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1 or self.C < 1 or self.F < 1:
-            raise ValueError("K, C and F must all be >= 1")
+        if self.K < 0 or self.C < 1 or self.F < 1:
+            raise ValueError("K must be >= 0, C and F >= 1")
 
     @property
     def factor_width(self) -> int:
@@ -86,11 +88,12 @@ class LayerTrace:
     """Forward-pass intermediates needed by reverse-mode gradients.
 
     ``xs[k]`` is the layer-k activation (xs[0] is the raw stacked input);
-    ``zs[k]`` is the pre-activation feeding xs[k+1].
+    ``kxs[k]`` is the kernel product kernel @ xs[k] that feeds xs[k+1], kept
+    so the backward pass need not recompute it.
     """
 
     xs: list[np.ndarray]
-    zs: list[np.ndarray]
+    kxs: list[np.ndarray]
 
 
 def init_params(config: ModelConfig, n_users: int, n_items: int) -> ModelParams:
@@ -102,33 +105,36 @@ def init_params(config: ModelConfig, n_users: int, n_items: int) -> ModelParams:
     rng = np.random.default_rng(config.seed)
     X_u0 = rng.normal(0.01, 0.02, size=(n_users, config.C))
     X_i0 = rng.normal(0.01, 0.02, size=(n_items, config.C))
-    thetas = [rng.normal(0.01, 0.02, size=(config.C, config.F))]
-    for _ in range(1, config.K):
-        thetas.append(rng.normal(0.01, 0.02, size=(config.F, config.F)))
+    thetas = [rng.normal(0.01, 0.02, size=(config.C if k == 0 else config.F, config.F))
+              for k in range(config.K)]
     return ModelParams(X_u0, X_i0, thetas)
 
 
-def forward(params: ModelParams, kernel: ConvKernel, config: ModelConfig):
-    """Run the K-layer propagation; returns (FactorTable, LayerTrace)."""
+def forward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig):
+    """Run the K-layer propagation; returns (FactorTable, LayerTrace).
+
+    ``kernel`` is unused, and may be None, when K = 0.
+    """
     params.validate_shapes(config)
-    n_users, n_items = params.n_users, params.n_items
+    n_users = params.n_users
     X0 = np.vstack([params.X_u0, params.X_i0])
-    if kernel.matrix.shape[0] != X0.shape[0]:
+    if config.K and kernel.matrix.shape[0] != X0.shape[0]:
         raise DimensionError(
             f"kernel is {kernel.matrix.shape[0]}x{kernel.matrix.shape[1]} "
             f"but the model has {X0.shape[0]} vertices"
         )
     xs = [X0]
-    zs = []
+    kxs = []
     for k in range(config.K):
-        Z = kernel.apply(xs[-1]) @ params.thetas[k]
+        KX = kernel.apply(xs[-1])
+        Z = KX @ params.thetas[k]
         if not np.isfinite(Z).all():
             raise NumericError(f"non-finite pre-activation at layer {k + 1}")
-        zs.append(Z)
+        kxs.append(KX)
         xs.append(sigmoid(Z))
     V = np.hstack(xs)
     factors = FactorTable(V_u=V[:n_users], V_i=V[n_users:])
-    return factors, LayerTrace(xs=xs, zs=zs)
+    return factors, LayerTrace(xs=xs, kxs=kxs)
 
 
 def score(factors: FactorTable, u: int, i: int) -> float:
@@ -140,19 +146,17 @@ def score(factors: FactorTable, u: int, i: int) -> float:
     return float(factors.V_u[u] @ factors.V_i[i])
 
 
-def rank_items(factors: FactorTable, u: int, exclude, M: int):
-    """Top-M item indices for a user, score descending, ties by ascending index.
+def top_m(scores: np.ndarray, exclude, M: int) -> np.ndarray:
+    """Indices of the M highest scores, descending, ties by ascending index.
 
-    ``exclude`` items never appear; fewer than M candidates yields a shorter
-    list.
+    ``exclude`` is an array of item indices that never appear; fewer than M
+    candidates yields a shorter list.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not (0 <= u < factors.V_u.shape[0]):
-        raise DimensionError(f"user index {u} out of range")
-    n_items = factors.V_i.shape[0]
-    candidates = np.setdiff1d(np.arange(n_items), np.fromiter(exclude, dtype=np.int64, count=-1))
-    scores = factors.V_i[candidates] @ factors.V_u[u]
+    keep = np.ones(len(scores), dtype=bool)
+    keep[exclude] = False
+    candidates = np.flatnonzero(keep)
     # Stable sort on negated scores keeps ascending item index within ties.
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores[candidates], kind="stable")
     return candidates[order[:M]]

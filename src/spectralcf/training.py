@@ -111,19 +111,11 @@ def _batch_arrays(batch: list[Triple]):
     return r, j, jn
 
 
-def _reg_rows(factors: FactorTable, batch, scope):
-    """Boolean masks of the V_u / V_i rows the regularizer covers."""
-    um = np.zeros(factors.V_u.shape[0], dtype=bool)
-    im = np.zeros(factors.V_i.shape[0], dtype=bool)
+def _reg_rows(r, j, jn, scope):
+    """Rows of V_u / V_i the regularizer covers: every row, or the batch's."""
     if scope == REG_FULL:
-        um[:] = True
-        im[:] = True
-    else:
-        r, j, jn = _batch_arrays(batch)
-        um[r] = True
-        im[j] = True
-        im[jn] = True
-    return um, im
+        return slice(None), slice(None)
+    return np.unique(r), np.unique(np.concatenate([j, jn]))
 
 
 def bpr_loss(factors: FactorTable, batch: list[Triple], reg: float,
@@ -137,20 +129,21 @@ def bpr_loss(factors: FactorTable, batch: list[Triple], reg: float,
     diff = np.einsum("ij,ij->i", factors.V_u[r], factors.V_i[j] - factors.V_i[jn])
     loss = np.logaddexp(0.0, -diff).sum()
     if reg != 0.0:
-        um, im = _reg_rows(factors, batch, reg_scope)
-        loss += reg * ((factors.V_u[um] ** 2).sum() + (factors.V_i[im] ** 2).sum())
+        ur, ir = _reg_rows(r, j, jn, reg_scope)
+        loss += reg * ((factors.V_u[ur] ** 2).sum() + (factors.V_i[ir] ** 2).sum())
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
     return float(loss)
 
 
-def backward(params: ModelParams, kernel: ConvKernel, config: ModelConfig,
+def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig,
              batch: list[Triple], reg: float, trace: LayerTrace,
              reg_scope: str = REG_FULL) -> ModelParams:
     """Exact gradients of :func:`bpr_loss` w.r.t. every parameter array.
 
     Needs the LayerTrace of the paired forward call; returns gradients in a
-    ModelParams container with matching shapes.
+    ModelParams container with matching shapes. The kernel is symmetric in
+    every form, so it propagates gradients back unchanged.
     """
     if trace is None:
         raise ValueError("backward requires the LayerTrace of the paired forward call")
@@ -168,9 +161,9 @@ def backward(params: ModelParams, kernel: ConvKernel, config: ModelConfig,
     np.add.at(G_V, n_users + j, g[:, None] * V_u[r])
     np.add.at(G_V, n_users + jn, -g[:, None] * V_u[r])
     if reg != 0.0:
-        um, im = _reg_rows(FactorTable(V_u, V_i), batch, reg_scope)
-        G_V[:n_users][um] += 2.0 * reg * V_u[um]
-        G_V[n_users:][im] += 2.0 * reg * V_i[im]
+        ur, ir = _reg_rows(r, j, jn, reg_scope)
+        G_V[:n_users][ur] += 2.0 * reg * V_u[ur]
+        G_V[n_users:][ir] += 2.0 * reg * V_i[ir]
 
     # Split the concatenation back into per-layer blocks.
     widths = [x.shape[1] for x in trace.xs]
@@ -182,9 +175,8 @@ def backward(params: ModelParams, kernel: ConvKernel, config: ModelConfig,
     for k in range(config.K, 0, -1):
         Xk = trace.xs[k]
         dZ = accum * Xk * (1.0 - Xk)
-        KX = kernel.apply(trace.xs[k - 1])
-        grad_thetas[k - 1] = KX.T @ dZ
-        accum = blocks[k - 1] + kernel.apply_transpose(dZ @ params.thetas[k - 1].T)
+        grad_thetas[k - 1] = trace.kxs[k - 1].T @ dZ
+        accum = blocks[k - 1] + kernel.apply(dZ @ params.thetas[k - 1].T)
 
     return ModelParams(X_u0=accum[:n_users], X_i0=accum[n_users:], thetas=grad_thetas)
 
@@ -216,9 +208,11 @@ def rmsprop_step(params: ModelParams, grads: ModelParams, opt: OptState,
     return ModelParams(X_u0, X_i0, thetas), OptState(acc_u, acc_i, acc_t)
 
 
-def train(train_set: InteractionSet, kernel: ConvKernel, model_config: ModelConfig,
+def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: ModelConfig,
           train_config: TrainConfig):
     """Full training loop; returns (final params, per-epoch loss history).
+
+    ``kernel`` may be None when ``model_config.K`` is 0 (BPR-MF).
 
     Each epoch draws ``steps_per_epoch`` batches (default one, matching the
     one-batch-per-epoch schedule) and applies one RMSprop update per batch.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spectralcf import baselines, data, training
+from spectralcf import baselines, training
 from spectralcf.baselines import BprMfModel
+from spectralcf.model import FactorTable, ModelConfig, ModelParams, forward
 
 from conftest import make_interactions, random_interactions
 
@@ -92,6 +93,19 @@ class TestPopularity:
         assert np.array_equal(scorer(1), counts)
 
 
+def mf_loss(model, batch, reg):
+    """The pairwise loss of BPR-MF: the spectral loss at K = 0."""
+    return training.bpr_loss(FactorTable(V_u=model.P_u, V_i=model.Q_i), batch, reg)
+
+
+def mf_gradients(model, batch, reg):
+    params = ModelParams(X_u0=model.P_u, X_i0=model.Q_i, thetas=[])
+    cfg = ModelConfig(K=0, C=model.d)
+    _, trace = forward(params, None, cfg)
+    grads = training.backward(params, None, cfg, batch, reg, trace)
+    return grads.X_u0, grads.X_i0
+
+
 def flatten_mf(model):
     return np.concatenate([model.P_u.ravel(), model.Q_i.ravel()])
 
@@ -126,7 +140,7 @@ class TestBprMf:
                 diff = model.P_u[t.r] @ (model.Q_i[t.j] - model.Q_i[t.j_neg])
                 want += float(np.logaddexp(0.0, -diff))
             want += reg * ((model.P_u ** 2).sum() + (model.Q_i ** 2).sum())
-            got = baselines.bpr_mf_loss(model, batch, reg)
+            got = mf_loss(model, batch, reg)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -135,7 +149,7 @@ class TestBprMf:
         for trial in range(6):
             _, model, batch = self._instance(rng)
             reg = 0.0 if trial % 2 == 0 else 1e-3
-            G_P, G_Q = baselines._mf_gradients(model, batch, reg)
+            G_P, G_Q = mf_gradients(model, batch, reg)
             got = np.concatenate([G_P.ravel(), G_Q.ravel()])
             flat = flatten_mf(model)
             fd = np.zeros_like(flat)
@@ -145,8 +159,8 @@ class TestBprMf:
                 dn = flat.copy()
                 dn[idx] -= step
                 fd[idx] = (
-                    baselines.bpr_mf_loss(unflatten_mf(up, model), batch, reg)
-                    - baselines.bpr_mf_loss(unflatten_mf(dn, model), batch, reg)
+                    mf_loss(unflatten_mf(up, model), batch, reg)
+                    - mf_loss(unflatten_mf(dn, model), batch, reg)
                 ) / (2 * step)
             denom = np.maximum(np.abs(fd), 1e-6)
             assert (np.abs(got - fd) / denom).max() < 1e-4

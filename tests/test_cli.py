@@ -207,6 +207,21 @@ class TestTrainEvaluateRecommend:
         assert code == 1
         assert "error:" in err
 
+    def test_recommend_reads_only_train(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "notest"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        argv = ["recommend", "--split-dir", str(split_dir),
+                "--checkpoint", str(out_dir / "model.spck"),
+                "--user", "u0", "-M", "3", "--out-dir", str(out_dir)]
+        code, before, err = run(capsys, argv)
+        assert code == 0, err
+        (split_dir / "test.tsv").unlink()
+        code, after, err = run(capsys, argv)
+        assert code == 0, err
+        assert after == before
+
     def test_exclude_seen_toggle(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
         out_dir = tmp_path / "seen"

@@ -306,7 +306,9 @@ class TestConvKernel:
         k = graph.conv_kernel(g, None, KERNEL_CLOSED_SPARSE)
         X = rng.standard_normal((g.n_vertices, 3))
         assert np.allclose(k.apply(X), k.matrix @ X)
-        assert np.allclose(k.apply_transpose(X), k.matrix.T @ X)
+        # The backward pass applies K in place of K^T; the closed form must be
+        # exactly symmetric for that to be exact.
+        assert (k.matrix != k.matrix.T).nnz == 0
 
 
 class TestSpectralCoordinates:
@@ -320,6 +322,19 @@ class TestSpectralCoordinates:
         basis = graph.eigendecompose(graph.build_graph(toy_set))
         coords = graph.spectral_coordinates(basis, 3)
         assert np.array_equal(coords, basis.eigenvectors[:, 1:4])
+
+    def test_skips_every_component_indicator(self):
+        # Two components: a 2x2 biclique and a path u3-i3-u4-i4.
+        ds = make_interactions(4, 4, {(0, 0), (0, 1), (1, 0), (1, 1),
+                                      (2, 2), (3, 2), (3, 3)})
+        g = graph.build_graph(ds)
+        basis = graph.eigendecompose(g)
+        coords = graph.spectral_coordinates(basis, 2)
+        L = graph.sym_laplacian_dense(g)
+        rayleigh = np.einsum("ij,ij->j", coords, L @ coords)
+        assert (rayleigh > 1e-6).all()
+        with pytest.raises(DimensionError):
+            graph.spectral_coordinates(basis, 7)
 
     def test_toy_graph_vertex_affinity(self, toy_set):
         # In the 2-coordinate frequency plot, i4 sits closer to u1 than the

@@ -18,7 +18,7 @@ class TestConfig:
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(K=0, C=4, F=4)
+            model.ModelConfig(K=-1, C=4, F=4)
         with pytest.raises(ValueError):
             model.ModelConfig(K=2, C=0, F=4)
 
@@ -103,6 +103,16 @@ class TestForward:
         x1 = model.sigmoid(kernel.matrix @ x0 @ params.thetas[0])
         assert np.allclose(factors.V_u, np.hstack([x0, x1])[: ds.n_users])
 
+    def test_zero_layers_need_no_kernel(self):
+        cfg = model.ModelConfig(K=0, C=3, seed=6)
+        assert cfg.factor_width == 3
+        params = model.init_params(cfg, 4, 5)
+        assert params.thetas == []
+        factors, trace = model.forward(params, None, cfg)
+        assert np.array_equal(factors.V_u, params.X_u0)
+        assert np.array_equal(factors.V_i, params.X_i0)
+        assert trace.kxs == []
+
     def test_kernel_mismatch(self):
         rng = np.random.default_rng(4)
         ds_a = random_interactions(rng, max_users=4, max_items=4)
@@ -140,24 +150,47 @@ class TestScoring:
         with pytest.raises(DimensionError):
             model.score(f, 0, 5)
 
-    def test_rank_items_excludes_and_orders(self):
+    def test_top_m_excludes_and_orders(self):
         f = self._factors(1)
         exclude = [1, 3]
-        ranked = model.rank_items(f, 0, exclude, M=5)
+        ranked = model.top_m(f.V_i @ f.V_u[0], exclude, M=5)
         assert not set(ranked) & set(exclude)
         scores = [model.score(f, 0, i) for i in ranked]
         assert scores == sorted(scores, reverse=True)
 
-    def test_rank_items_tie_break_ascending_index(self):
+    def test_top_m_tie_break_ascending_index(self):
         V_u = np.ones((1, 2))
         V_i = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])  # all score 1.0
         f = model.FactorTable(V_u=V_u, V_i=V_i)
-        assert list(model.rank_items(f, 0, [], M=3)) == [0, 1, 2]
+        assert list(model.top_m(f.V_i @ f.V_u[0], [], M=3)) == [0, 1, 2]
 
-    def test_rank_items_truncates(self):
+    def test_top_m_truncates(self):
         f = self._factors(2)
-        assert len(model.rank_items(f, 0, [], M=2)) == 2
-        assert len(model.rank_items(f, 0, [0, 1, 2, 3], M=10)) == 1
+        scores = f.V_i @ f.V_u[0]
+        assert len(model.top_m(scores, [], M=2)) == 2
+        assert len(model.top_m(scores, [0, 1, 2, 3], M=10)) == 1
+
+    def test_top_m_never_returns_excluded(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            scores = rng.standard_normal(n)
+            if rng.random() < 0.3:
+                scores[:] = 0.5  # every score ties
+            exclude = np.flatnonzero(rng.random(n) < 0.5)
+            M = int(rng.integers(1, n + 3))
+            ranked = model.top_m(scores, exclude, M)
+            assert not set(ranked.tolist()) & set(exclude.tolist())
+            assert len(ranked) == min(M, n - len(exclude))
+
+    def test_top_m_everything_excluded(self):
+        scores = np.array([3.0, 1.0, 2.0])
+        assert len(model.top_m(scores, [0, 1, 2], M=3)) == 0
+        assert len(model.top_m(np.full(4, 1.0), np.arange(4), M=2)) == 0
+
+    def test_top_m_rejects_bad_m(self):
+        with pytest.raises(ValueError):
+            model.top_m(np.zeros(3), [], M=0)
 
 
 class TestSigmoid:
