@@ -82,9 +82,9 @@ def main(argv=None) -> int:
     p_values = [int(tok) for tok in args.p_values.split(",") if tok]
 
     with open(args.input, "rb") as fh:
-        raws = data.parse_interactions(fh, args.format.replace("-", "_"))
+        columns = data.parse_interactions(fh, args.format.replace("-", "_"))
     # Users need at least max(P)+1 interactions so every split has test items.
-    dataset = data.to_implicit(raws, min_user_interactions=max(p_values) + 1)
+    dataset = data.to_implicit(columns, min_user_interactions=max(p_values) + 1)
     print(f"dataset: {dataset.n_users} users, {dataset.n_items} items, "
           f"{dataset.n_interactions()} interactions", file=sys.stderr)
 

@@ -24,7 +24,7 @@ from .checkpoint import (
 )
 from .data import (
     InteractionSet,
-    RawInteraction,
+    RawColumns,
     SplitPair,
     load_split,
     load_train,
@@ -41,6 +41,7 @@ from .errors import (
     NumericError,
     ParseError,
     SpectralCFError,
+    SplitFormatError,
 )
 from .evaluation import EvalReport, evaluate, map_at_m, recall_at_m, save_report
 from .graph import (

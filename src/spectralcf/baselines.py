@@ -69,7 +69,7 @@ def fit_itemknn(train: InteractionSet, k_neighbors: int = 50) -> ItemKnnModel:
 
 def score_itemknn(model: ItemKnnModel, train: InteractionSet, u: int, i: int) -> float:
     """Sum of similarities between item i's retained neighbors and the user's items."""
-    positives = train.user_items[u]
+    positives = train.items_of(u)
     row = np.asarray(model.neighbor_sim.getrow(i).todense()).ravel()
     return float(row[positives].sum())
 
@@ -87,9 +87,7 @@ def itemknn_scorer(model: ItemKnnModel, train: InteractionSet):
 
 def popularity_scorer(train: InteractionSet):
     """Rank items by training interaction count, identically for every user."""
-    counts = np.zeros(train.n_items)
-    for items in train.user_items:
-        counts[items] += 1.0
+    counts = np.bincount(train.indices, minlength=train.n_items).astype(np.float64)
 
     def scorer(u: int) -> np.ndarray:
         return counts

@@ -134,8 +134,8 @@ def cmd_split(args) -> int:
     min_inter = _resolve(args, cfg, "min_interactions")
 
     with open(args.input, "rb") as fh:
-        raws = data.parse_interactions(fh, fmt)
-    dataset = data.to_implicit(raws, min_user_interactions=min_inter)
+        columns = data.parse_interactions(fh, fmt)
+    dataset = data.to_implicit(columns, min_user_interactions=min_inter)
 
     if protocol == "standard":
         split = data.split_standard(dataset, float(_resolve(args, cfg, "fraction")), seed)
@@ -150,7 +150,7 @@ def cmd_split(args) -> int:
     print(f"users\t{split.train.n_users}")
     print(f"items\t{split.train.n_items}")
     print(f"train_interactions\t{split.train.n_interactions()}")
-    print(f"test_interactions\t{len(split.test)}")
+    print(f"test_interactions\t{split.test.n_interactions()}")
     print(f"excluded_users\t{split.n_excluded_users}")
     print(f"rescued_pairs\t{split.n_rescued}")
     print(f"written\t{out}")
@@ -324,7 +324,7 @@ def cmd_recommend(args) -> int:
         raise ValueError(f"unknown user id: {args.user!r}") from None
 
     scores = evaluation.user_scores(scorer, u, train_set.n_items)
-    exclude = train_set.user_items[u] if args.exclude_seen else np.empty(0, dtype=np.int64)
+    exclude = train_set.items_of(u) if args.exclude_seen else np.empty(0, dtype=np.int64)
     for i in model.top_m(scores, exclude, _resolve(args, cfg, "M")):
         print(f"{train_set.item_ids[i]}\t{scores[i]:.10f}")
     return 0
@@ -341,8 +341,7 @@ def cmd_spectral_embed(args) -> int:
     elif args.input is not None:
         fmt = str(_resolve(args, cfg, "format")).replace("-", "_")
         with open(args.input, "rb") as fh:
-            raws = data.parse_interactions(fh, fmt)
-        dataset = data.to_implicit(raws)
+            dataset = data.to_implicit(data.parse_interactions(fh, fmt))
     else:
         raise ValueError("one of --split-dir or --input is required")
 

@@ -1,72 +1,140 @@
 """Interaction parsing, implicit-feedback conversion and train/test splitting.
 
-Interactions enter as raw (user, item) records with optional ratings,
-are collapsed to deduplicated binary feedback with dense integer ids,
-and are split per user either 80/20-style or by retaining a fixed
-number of training items per user (cold-start protocol).
+Interactions are held column-wise. The parser returns one list per field;
+an :class:`InteractionSet` is the CSR pattern of the binary interaction
+matrix (``indptr``, ``indices``) over dense user/item indices, plus the
+external id lists. Raw records are collapsed to deduplicated binary feedback
+and split per user either 80/20-style or by retaining a fixed number of
+training items per user (cold-start protocol).
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+import os
+from collections import deque
+from dataclasses import dataclass
+from itertools import repeat
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParseError
+from .errors import EmptyDatasetError, ParseError, SplitFormatError
 
 PROTOCOL_STANDARD = "standard_80_20"
 PROTOCOL_COLD_START = "cold_start"
 
+# Field separator, allowed field counts and their wording in error messages.
+_FORMATS = {
+    "movielens_dat": ("::", 4, 4, "4 '::'-separated"),
+    "tsv": ("\t", 2, 4, "2-4 tab-separated"),
+}
+
 
 @dataclass(frozen=True)
-class RawInteraction:
-    """One input record before conversion to implicit feedback."""
+class RawColumns:
+    """Parsed records in input order, one list per id field.
 
-    user_ext: str
-    item_ext: str
-    weight: float | None = None
-    timestamp: int | None = None
+    Ratings and timestamps are validated by the parser but not kept: every
+    observation counts as one implicit interaction.
+    """
+
+    users: list[str]
+    items: list[str]
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionSet:
-    """Deduplicated implicit interactions over dense user/item indices.
+    """Binary interactions over dense user/item indices, as a CSR pattern.
 
-    Every user index and every item index has at least one interaction;
-    ``user_items[u]`` is the ascending array of items interacted by ``u``.
-    ``user_ids`` / ``item_ids`` map indices back to external ids.
+    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, the ascending items of
+    user ``u``. ``user_ids`` / ``item_ids`` map indices back to external ids.
+    A training set has at least one interaction per user and per item; the
+    test half of a split shares its train set's index space and need not.
     """
 
     n_users: int
     n_items: int
-    pairs: set[tuple[int, int]]
-    user_items: list[np.ndarray]
-    user_ids: list[str] = field(default_factory=list)
-    item_ids: list[str] = field(default_factory=list)
+    indptr: np.ndarray
+    indices: np.ndarray
+    user_ids: list[str]
+    item_ids: list[str]
+
+    @classmethod
+    def from_pairs(cls, n_users, n_items, users, items, user_ids, item_ids):
+        """Deduplicate and sort parallel (user, item) index arrays into a set."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        width = max(n_items, 1)
+        keys = np.sort(users * width + items)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        rows = keys // width
+        return cls(
+            n_users=n_users,
+            n_items=n_items,
+            indptr=_indptr(rows, n_users),
+            indices=keys - rows * width,
+            user_ids=list(user_ids),
+            item_ids=list(item_ids),
+        )
+
+    def items_of(self, u: int) -> np.ndarray:
+        """Ascending items of user ``u`` (a view into ``indices``)."""
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def rows(self) -> np.ndarray:
+        """The user index of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n_users, dtype=np.int64), np.diff(self.indptr))
+
+    @property
+    def pairs(self) -> set[tuple[int, int]]:
+        """The interactions as a set of (user, item) tuples, built on each
+        access; for comparisons on small sets, never on the data path."""
+        return set(zip(self.rows().tolist(), self.indices.tolist()))
 
     def to_csr(self):
         """Binary interaction matrix R (n_users x n_items, CSR, float64)."""
         import scipy.sparse as sp
 
-        rows = np.concatenate(
-            [np.full(len(items), u, dtype=np.int64) for u, items in enumerate(self.user_items)]
-        )
-        cols = np.concatenate(self.user_items)
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_users, self.n_items))
+        data = np.ones(len(self.indices), dtype=np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_users, self.n_items), copy=True)
 
     def n_interactions(self) -> int:
-        return len(self.pairs)
+        return len(self.indices)
+
+    def subset(self, mask: np.ndarray) -> InteractionSet:
+        """The entries where ``mask`` (aligned with ``indices``) is true, in
+        the same index space."""
+        return InteractionSet(
+            n_users=self.n_users,
+            n_items=self.n_items,
+            indptr=_indptr(self.rows()[mask], self.n_users),
+            indices=self.indices[mask],
+            user_ids=self.user_ids,
+            item_ids=self.item_ids,
+        )
+
+
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row pointers of ascending row indices."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
 
 
 @dataclass
 class SplitPair:
-    """A train InteractionSet plus held-out test pairs in the same index space."""
+    """A train InteractionSet plus the held-out test pairs, a second
+    InteractionSet over the same index space."""
 
     train: InteractionSet
-    test: set[tuple[int, int]]
+    test: InteractionSet
     protocol: str
     protocol_param: float
     seed: int
@@ -75,63 +143,102 @@ class SplitPair:
     n_rescued: int = 0
 
     def test_items_of(self, u: int) -> list[int]:
-        return sorted(i for (r, i) in self.test if r == u)
+        return self.test.items_of(u).tolist()
 
 
-def parse_interactions(source, fmt: str) -> list[RawInteraction]:
-    """Parse a byte stream of interaction lines.
+def parse_interactions(source, fmt: str) -> RawColumns:
+    """Parse interaction lines from bytes, text or a file object.
 
     ``fmt`` is ``"movielens_dat"`` (``user::item::rating::timestamp``) or
     ``"tsv"`` (``user<TAB>item[<TAB>weight[<TAB>timestamp]]``). Blank lines are
-    skipped; any malformed line raises :class:`ParseError` with its line number.
+    skipped; any malformed line raises :class:`ParseError` with its 1-based
+    line number, blank lines counted.
     """
-    if fmt not in ("movielens_dat", "tsv"):
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-    records = []
-    for line_no, raw_line in enumerate(source, start=1):
-        if isinstance(raw_line, bytes):
-            line = raw_line.decode("utf-8").rstrip("\r\n")
-        else:
-            line = raw_line.rstrip("\r\n")
+    text = source if isinstance(source, (bytes, bytearray, str)) else source.read()
+    if not isinstance(text, str):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line_no, f"invalid UTF-8: {exc.reason}") from None
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+
+    # Fast path, for files whose lines all have one field count: one flat
+    # list of fields, sliced into columns that are checked whole. Splitting
+    # on the separator and on "\n" at once equals splitting each line, as no
+    # line holds a "\n". Any breach, or a tsv file mixing field counts, falls
+    # through to the line-by-line reader, which reports the first bad line.
+    sep, lo, hi, _ = _FORMATS[fmt]
+    records = [line for line in lines if line]
+    if not records:
+        return RawColumns([], [])
+    n_seps = set(map(methodcaller("count", sep), records))
+    width = n_seps.pop() + 1
+    if not n_seps and lo <= width <= hi:
+        fields = "\n".join(records).replace(sep, "\n").split("\n")
+        users, items = fields[0::width], fields[1::width]
+        if "" not in users and "" not in items:
+            try:
+                if width >= 3:
+                    deque(map(float, fields[2::width]), maxlen=0)
+                if width == 4:
+                    deque(map(int, fields[3::width]), maxlen=0)
+            except ValueError:
+                pass
+            else:
+                return RawColumns(users, items)
+    return _parse_lines(lines, fmt)
+
+
+def _parse_lines(lines: list[str], fmt: str) -> RawColumns:
+    """Line-by-line reader: the reference for what the fast path accepts."""
+    sep, lo, hi, expected = _FORMATS[fmt]
+    users: list[str] = []
+    items: list[str] = []
+    for line_no, line in enumerate(lines, start=1):
         if not line:
             continue
-        if fmt == "movielens_dat":
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ParseError(line_no, f"expected 4 '::'-separated fields, got {len(parts)}")
-            user, item, rating, ts = parts
-            if not user or not item:
-                raise ParseError(line_no, "empty user or item id")
-            try:
-                weight = float(rating)
-                timestamp = int(ts)
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad numeric field: {exc}") from None
-            records.append(RawInteraction(user, item, weight, timestamp))
-        else:
-            parts = line.split("\t")
-            if len(parts) < 2 or len(parts) > 4:
-                raise ParseError(line_no, f"expected 2-4 tab-separated fields, got {len(parts)}")
-            user, item = parts[0], parts[1]
-            if not user or not item:
-                raise ParseError(line_no, "empty user or item id")
-            weight = None
-            timestamp = None
-            try:
-                if len(parts) >= 3:
-                    weight = float(parts[2])
-                if len(parts) == 4:
-                    timestamp = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad numeric field: {exc}") from None
-            records.append(RawInteraction(user, item, weight, timestamp))
-    return records
+        parts = line.split(sep)
+        if not lo <= len(parts) <= hi:
+            raise ParseError(line_no, f"expected {expected} fields, got {len(parts)}")
+        if not parts[0] or not parts[1]:
+            raise ParseError(line_no, "empty user or item id")
+        try:
+            if len(parts) >= 3:
+                float(parts[2])
+            if len(parts) == 4:
+                int(parts[3])
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad numeric field: {exc}") from None
+        users.append(parts[0])
+        items.append(parts[1])
+    return RawColumns(users, items)
 
 
-def to_implicit(raws: list[RawInteraction], min_user_interactions: int = 1) -> InteractionSet:
-    """Collapse raw records to a binary InteractionSet with dense indices.
+def _codes_in(values: list[str], ids: list[str]) -> np.ndarray:
+    """Index of each value in ``ids``, -1 where absent."""
+    index = {ext: code for code, ext in enumerate(ids)}
+    return np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
+
+
+def _first_appearance_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """(distinct values in order of first appearance, each value's code)."""
+    ids = list(dict.fromkeys(values))
+    return ids, _codes_in(values, ids)
+
+
+def _in_first_appearance_order(codes: np.ndarray) -> np.ndarray:
+    """Distinct codes ordered by where each first occurs."""
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first)]
+
+
+def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> InteractionSet:
+    """Collapse parsed records to a binary InteractionSet with dense indices.
 
     Ratings are discarded (any observation counts as 1), duplicates are
     collapsed, users with fewer than ``min_user_interactions`` interactions are
@@ -140,135 +247,105 @@ def to_implicit(raws: list[RawInteraction], min_user_interactions: int = 1) -> I
     """
     if min_user_interactions < 1:
         raise ValueError("min_user_interactions must be >= 1")
+    user_ext, u = _first_appearance_codes(columns.users)
+    item_ext, i = _first_appearance_codes(columns.items)
+    n_u, n_i = len(user_ext), len(item_ext)
+    keys, first = np.unique(u * n_i + i, return_index=True)
+    u, i = keys // n_i, keys % n_i
 
-    seen: set[tuple[str, str]] = set()
-    ordered: list[tuple[str, str]] = []
-    for r in raws:
-        key = (r.user_ext, r.item_ext)
-        if key not in seen:
-            seen.add(key)
-            ordered.append(key)
-
-    users = {u for u, _ in ordered}
-    items = {i for _, i in ordered}
     # Remove light users, then items left with no interactions, until stable.
+    keep_u = np.ones(n_u, dtype=bool)
+    keep_i = np.ones(n_i, dtype=bool)
     while True:
-        u_count: dict[str, int] = {}
-        i_count: dict[str, int] = {}
-        for u, i in ordered:
-            if u in users and i in items:
-                u_count[u] = u_count.get(u, 0) + 1
-                i_count[i] = i_count.get(i, 0) + 1
-        new_users = {u for u, c in u_count.items() if c >= min_user_interactions}
+        live = keep_u[u] & keep_i[i]
+        new_u = np.bincount(u[live], minlength=n_u) >= min_user_interactions
         # Items only survive through interactions with surviving users.
-        new_items = {i for i, c in i_count.items() if c >= 1}
-        if new_users != users or new_items != items:
-            users, items = new_users, new_items
-            if not users or not items:
-                raise EmptyDatasetError("no interactions left after filtering")
-            continue
-        break
-
-    kept = [(u, i) for (u, i) in ordered if u in users and i in items]
-    if not kept:
+        new_i = np.bincount(i[live], minlength=n_i) >= 1
+        if np.array_equal(new_u, keep_u) and np.array_equal(new_i, keep_i):
+            break
+        keep_u, keep_i = new_u, new_i
+        if not keep_u.any() or not keep_i.any():
+            raise EmptyDatasetError("no interactions left after filtering")
+    if not live.any():
         raise EmptyDatasetError("no interactions left after filtering")
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    for u, i in kept:
-        if u not in user_index:
-            user_index[u] = len(user_index)
-        if i not in item_index:
-            item_index[i] = len(item_index)
-
-    pairs = {(user_index[u], item_index[i]) for (u, i) in kept}
-    return _build_interaction_set(
-        pairs,
-        n_users=len(user_index),
-        n_items=len(item_index),
-        user_ids=list(user_index),
-        item_ids=list(item_index),
+    # Dense indices in order of first appearance among the surviving records.
+    order = np.argsort(first[live])
+    u, i = u[live], i[live]
+    users = _in_first_appearance_order(u[order])
+    items = _in_first_appearance_order(i[order])
+    user_code = np.empty(n_u, dtype=np.int64)
+    user_code[users] = np.arange(len(users))
+    item_code = np.empty(n_i, dtype=np.int64)
+    item_code[items] = np.arange(len(items))
+    return InteractionSet.from_pairs(
+        len(users), len(items), user_code[u], item_code[i],
+        user_ids=[user_ext[k] for k in users.tolist()],
+        item_ids=[item_ext[k] for k in items.tolist()],
     )
 
 
-def _build_interaction_set(pairs, n_users, n_items, user_ids=None, item_ids=None):
-    per_user: list[list[int]] = [[] for _ in range(n_users)]
-    for u, i in pairs:
-        per_user[u].append(i)
-    user_items = [np.array(sorted(lst), dtype=np.int64) for lst in per_user]
-    return InteractionSet(
-        n_users=n_users,
-        n_items=n_items,
-        pairs=set(pairs),
-        user_items=user_items,
-        user_ids=list(user_ids) if user_ids is not None else [str(u) for u in range(n_users)],
-        item_ids=list(item_ids) if item_ids is not None else [str(i) for i in range(n_items)],
-    )
-
-
-def _repair_isolated_items(train_pairs, test_pairs, n_items):
+def _repair_isolated_items(data: InteractionSet, in_train: np.ndarray):
     """Give every item at least one training interaction.
 
-    A per-user random split can strand all of an item's interactions in test,
-    but the training graph needs every vertex at degree >= 1. For each such
-    item, one of its test pairs (u, i) is swapped into train while one of u's
-    train pairs (u, j) with train degree of j >= 2 moves out to test, keeping
-    every per-user train count intact. Users holding i in test are tried in
-    order of descending test-set size (ties: smallest index); the demoted j is
-    u's highest-degree train item (ties: smallest index). If no user holding i
-    can give up a train item safely, the pair is promoted without a demotion,
-    growing that user's train count by one. Everything is deterministic.
+    ``in_train`` marks which entries of ``data`` went to train; it is updated
+    in place. A per-user random split can strand all of an item's
+    interactions in test, but the training graph needs every vertex at
+    degree >= 1. For each such item, one of its test pairs (u, i) is swapped
+    into train while one of u's train pairs (u, j) with train degree of
+    j >= 2 moves out to test, keeping every per-user train count intact.
+    Users holding i in test are tried in order of descending test-set size
+    (ties: smallest index); the demoted j is u's highest-degree train item
+    (ties: smallest index). If no user holding i can give up a train item
+    safely, the pair is promoted without a demotion, growing that user's
+    train count by one. Everything is deterministic.
 
     Returns ``(n_swapped, n_promoted)``.
     """
-    train_count = np.zeros(n_items, dtype=np.int64)
-    for _, i in train_pairs:
-        train_count[i] += 1
-    missing = [i for i in range(n_items) if train_count[i] == 0]
-    if not missing:
+    rows, cols, indptr = data.rows(), data.indices, data.indptr
+    train_count = np.bincount(cols[in_train], minlength=data.n_items)
+    missing = np.flatnonzero(train_count == 0)
+    if not len(missing):
         return 0, 0
-    test_size: dict[int, int] = {}
-    for u, _ in test_pairs:
-        test_size[u] = test_size.get(u, 0) + 1
-    user_train: dict[int, set[int]] = {}
-    for u, j in train_pairs:
-        user_train.setdefault(u, set()).add(j)
-    # Test holders of each missing item, gathered once. Exact: a demoted pair
+    test_size = np.bincount(rows[~in_train], minlength=data.n_users)
+    # Test entries of each missing item, gathered once. Exact: a demoted pair
     # (u, j) has train_count[j] >= 2, so j is never an item awaiting repair.
-    holders_of: dict[int, list[int]] = {i: [] for i in missing}
-    for u, j in test_pairs:
-        if j in holders_of:
-            holders_of[j].append(u)
+    held = np.flatnonzero(~in_train & (train_count[cols] == 0))
+    held = held[np.argsort(cols[held], kind="stable")]
+    bounds = np.searchsorted(cols[held], np.append(missing, data.n_items))
 
     n_swapped = n_promoted = 0
-    for i in missing:
-        holders = sorted(holders_of[i], key=lambda u: (-test_size[u], u))
-        swapped = False
-        for u in holders:
-            demotable = [j for j in user_train.get(u, ()) if train_count[j] >= 2]
-            if not demotable:
+    for k, i in enumerate(missing.tolist()):
+        holders = held[bounds[k]:bounds[k + 1]]
+        users = rows[holders]
+        holders = holders[np.lexsort((users, -test_size[users]))]
+        for p in holders:
+            u = rows[p]
+            train_of_u = indptr[u] + np.flatnonzero(in_train[indptr[u]:indptr[u + 1]])
+            demotable = train_of_u[train_count[cols[train_of_u]] >= 2]
+            if not len(demotable):
                 continue
-            j = min(demotable, key=lambda j: (-train_count[j], j))
-            train_pairs.remove((u, j))
-            test_pairs.add((u, j))
-            train_pairs.add((u, i))
-            test_pairs.remove((u, i))
-            user_train[u].remove(j)
-            user_train[u].add(i)
-            train_count[j] -= 1
+            q = demotable[np.lexsort((cols[demotable], -train_count[cols[demotable]]))[0]]
+            in_train[q] = False
+            in_train[p] = True
+            train_count[cols[q]] -= 1
             train_count[i] += 1
             n_swapped += 1
-            swapped = True
             break
-        if not swapped:
-            u = holders[0]
-            test_pairs.remove((u, i))
-            train_pairs.add((u, i))
-            user_train.setdefault(u, set()).add(i)
+        else:
+            p = holders[0]
+            in_train[p] = True
             train_count[i] += 1
-            test_size[u] -= 1
+            test_size[rows[p]] -= 1
             n_promoted += 1
     return n_swapped, n_promoted
+
+
+def _split_pair(data: InteractionSet, in_train: np.ndarray, **fields) -> SplitPair:
+    """Repair isolated items, then cut ``data`` into its train and test halves."""
+    n_swapped, n_promoted = _repair_isolated_items(data, in_train)
+    return SplitPair(train=data.subset(in_train), test=data.subset(~in_train),
+                     n_swapped=n_swapped, n_rescued=n_promoted, **fields)
 
 
 def split_standard(data: InteractionSet, train_fraction: float, rng_seed: int) -> SplitPair:
@@ -282,27 +359,14 @@ def split_standard(data: InteractionSet, train_fraction: float, rng_seed: int) -
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(rng_seed)
-    train_pairs: set[tuple[int, int]] = set()
-    test_pairs: set[tuple[int, int]] = set()
+    in_train = np.zeros(data.n_interactions(), dtype=bool)
+    bounds = data.indptr.tolist()
     for u in range(data.n_users):
-        items = data.user_items[u]
-        n_train = max(1, int(np.floor(train_fraction * len(items))))
-        perm = rng.permutation(len(items))
-        for k, idx in enumerate(perm):
-            (train_pairs if k < n_train else test_pairs).add((u, int(items[idx])))
-    n_swapped, n_promoted = _repair_isolated_items(train_pairs, test_pairs, data.n_items)
-    train = _build_interaction_set(
-        train_pairs, data.n_users, data.n_items, data.user_ids, data.item_ids
-    )
-    return SplitPair(
-        train=train,
-        test=test_pairs,
-        protocol=PROTOCOL_STANDARD,
-        protocol_param=train_fraction,
-        seed=rng_seed,
-        n_swapped=n_swapped,
-        n_rescued=n_promoted,
-    )
+        lo, n = bounds[u], bounds[u + 1] - bounds[u]
+        n_train = max(1, int(np.floor(train_fraction * n)))
+        in_train[lo + rng.permutation(n)[:n_train]] = True
+    return _split_pair(data, in_train, protocol=PROTOCOL_STANDARD,
+                       protocol_param=train_fraction, seed=rng_seed)
 
 
 def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -> SplitPair:
@@ -317,45 +381,66 @@ def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -
     """
     if items_per_user < 1:
         raise ValueError("items_per_user must be >= 1")
-    retained = [u for u in range(data.n_users) if len(data.user_items[u]) > items_per_user]
+    sizes = np.diff(data.indptr)
+    kept_user = sizes > items_per_user
+    retained = np.flatnonzero(kept_user)
     n_excluded = data.n_users - len(retained)
-    if not retained:
+    if not len(retained):
         raise EmptyDatasetError("no user has more interactions than items_per_user")
 
-    # Dense re-index over retained users and the items they touch.
-    new_user_ids = [data.user_ids[u] for u in retained]
-    item_map: dict[int, int] = {}
-    new_item_ids: list[str] = []
-    for u in retained:
-        for i in data.user_items[u]:
-            i = int(i)
-            if i not in item_map:
-                item_map[i] = len(item_map)
-                new_item_ids.append(data.item_ids[i])
+    # The retained users' rows, in order; items re-indexed densely in order of
+    # first appearance along them.
+    entries = np.flatnonzero(np.repeat(kept_user, sizes))
+    new_u = (np.cumsum(kept_user) - 1)[data.rows()[entries]]
+    old_i = data.indices[entries]
+    items = _in_first_appearance_order(old_i)
+    item_code = np.empty(data.n_items, dtype=np.int64)
+    item_code[items] = np.arange(len(items))
+    new_i = item_code[old_i]
 
+    # Draw each user's training items over its row in the old item order.
     rng = np.random.default_rng(rng_seed)
-    train_pairs: set[tuple[int, int]] = set()
-    test_pairs: set[tuple[int, int]] = set()
-    for new_u, u in enumerate(retained):
-        items = data.user_items[u]
-        perm = rng.permutation(len(items))
-        for k, idx in enumerate(perm):
-            pair = (new_u, item_map[int(items[idx])])
-            (train_pairs if k < items_per_user else test_pairs).add(pair)
-    n_swapped, n_promoted = _repair_isolated_items(train_pairs, test_pairs, len(item_map))
-    train = _build_interaction_set(
-        train_pairs, len(retained), len(item_map), new_user_ids, new_item_ids
+    in_train = np.zeros(len(entries), dtype=bool)
+    indptr = _indptr(new_u, len(retained))
+    bounds = indptr.tolist()
+    for r in range(len(retained)):
+        lo, n = bounds[r], bounds[r + 1] - bounds[r]
+        in_train[lo + rng.permutation(n)[:items_per_user]] = True
+
+    order = np.lexsort((new_i, new_u))
+    reindexed = InteractionSet(
+        n_users=len(retained),
+        n_items=len(items),
+        indptr=indptr,
+        indices=new_i[order],
+        user_ids=[data.user_ids[u] for u in retained.tolist()],
+        item_ids=[data.item_ids[i] for i in items.tolist()],
     )
-    return SplitPair(
-        train=train,
-        test=test_pairs,
-        protocol=PROTOCOL_COLD_START,
-        protocol_param=float(items_per_user),
-        seed=rng_seed,
-        n_excluded_users=n_excluded,
-        n_swapped=n_swapped,
-        n_rescued=n_promoted,
-    )
+    return _split_pair(reindexed, in_train[order], protocol=PROTOCOL_COLD_START,
+                       protocol_param=float(items_per_user), seed=rng_seed,
+                       n_excluded_users=n_excluded)
+
+
+def _pairs_bytes(s: InteractionSet) -> bytes:
+    """One ``user<TAB>item`` line per entry, in (user, item) index order."""
+    users = np.asarray(s.user_ids, dtype=object)[s.rows()].tolist()
+    items = np.asarray(s.item_ids, dtype=object)[s.indices].tolist()
+    return "".join([f"{u}\t{i}\n" for u, i in zip(users, items)]).encode("utf-8")
+
+
+def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
+    """Write each payload to a temporary file in ``out``, then move them all
+    into place, so an interrupted write leaves the previous files intact."""
+    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in payloads}
+    try:
+        for name, payload in payloads.items():
+            with open(temps[name], "wb") as fh:
+                fh.write(payload)
+        for name, tmp in temps.items():
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def save_split(split: SplitPair, out_dir) -> None:
@@ -363,14 +448,6 @@ def save_split(split: SplitPair, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train = split.train
-
-    def _write_pairs(path, pairs):
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, i in sorted(pairs):
-                fh.write(f"{train.user_ids[u]}\t{train.item_ids[i]}\n")
-
-    _write_pairs(out / "train.tsv", train.pairs)
-    _write_pairs(out / "test.tsv", split.test)
     meta = {
         "format_version": 1,
         "protocol": split.protocol,
@@ -378,15 +455,17 @@ def save_split(split: SplitPair, out_dir) -> None:
         "seed": split.seed,
         "n_users": train.n_users,
         "n_items": train.n_items,
-        "n_train": len(train.pairs),
-        "n_test": len(split.test),
+        "n_train": train.n_interactions(),
+        "n_test": split.test.n_interactions(),
         "n_excluded_users": split.n_excluded_users,
         "n_swapped": split.n_swapped,
         "n_rescued": split.n_rescued,
     }
-    with open(out / "split.meta", "w", encoding="utf-8") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
+    _write_files(out, {
+        "train.tsv": _pairs_bytes(train),
+        "test.tsv": _pairs_bytes(split.test),
+        "split.meta": "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8"),
+    })
 
 
 def _read_meta(src: Path) -> dict[str, str]:
@@ -400,12 +479,45 @@ def _read_meta(src: Path) -> dict[str, str]:
     return meta
 
 
-def _check_meta(meta: dict[str, str], checks: dict[str, int]) -> None:
+def _meta_field(meta: dict[str, str], src: Path, key: str, cast, default=None):
+    """``cast(meta[key])``; a missing key falls back to ``default`` when given."""
+    if key not in meta:
+        if default is not None:
+            return default
+        raise SplitFormatError(f"{src / 'split.meta'}: missing key {key!r}")
+    try:
+        return cast(meta[key])
+    except ValueError:
+        raise SplitFormatError(
+            f"{src / 'split.meta'}: {key}={meta[key]!r} is not a valid {cast.__name__}"
+        ) from None
+
+
+def _check_meta(meta: dict[str, str], src: Path, checks: dict[str, int]) -> None:
     for key, actual in checks.items():
-        if int(meta[key]) != actual:
-            raise ValueError(
-                f"split.meta says {key}={meta[key]} but the files contain {actual}"
+        if _meta_field(meta, src, key, int) != actual:
+            raise SplitFormatError(
+                f"{src / 'split.meta'} says {key}={meta[key]} but the files contain {actual}"
             )
+
+
+def _read_pairs(path: Path) -> RawColumns:
+    with open(path, "rb") as fh:
+        return parse_interactions(fh, "tsv")
+
+
+def _load_train(src: Path, meta: dict[str, str]) -> InteractionSet:
+    columns = _read_pairs(src / "train.tsv")
+    user_ids, users = _first_appearance_codes(columns.users)
+    item_ids, items = _first_appearance_codes(columns.items)
+    train = InteractionSet.from_pairs(len(user_ids), len(item_ids), users, items,
+                                      user_ids, item_ids)
+    _check_meta(meta, src, {
+        "n_users": train.n_users,
+        "n_items": train.n_items,
+        "n_train": train.n_interactions(),
+    })
+    return train
 
 
 def load_train(in_dir) -> InteractionSet:
@@ -417,50 +529,34 @@ def load_train(in_dir) -> InteractionSet:
     The user, item and train-pair counts must match split.meta.
     """
     src = Path(in_dir)
-    meta = _read_meta(src)
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    train_pairs: set[tuple[int, int]] = set()
-    with open(src / "train.tsv", encoding="utf-8") as fh:
-        for rec in parse_interactions(fh, "tsv"):
-            u = user_index.setdefault(rec.user_ext, len(user_index))
-            i = item_index.setdefault(rec.item_ext, len(item_index))
-            train_pairs.add((u, i))
-    train = _build_interaction_set(
-        train_pairs, len(user_index), len(item_index), list(user_index), list(item_index)
-    )
-    _check_meta(meta, {
-        "n_users": train.n_users,
-        "n_items": train.n_items,
-        "n_train": len(train_pairs),
-    })
-    return train
+    return _load_train(src, _read_meta(src))
 
 
 def load_split(in_dir) -> SplitPair:
     """Load a persisted split: :func:`load_train`, then test.tsv in the same
     index space, its pair count checked against split.meta."""
     src = Path(in_dir)
-    train = load_train(src)
     meta = _read_meta(src)
-    user_index = {ext: u for u, ext in enumerate(train.user_ids)}
-    item_index = {ext: i for i, ext in enumerate(train.item_ids)}
-    test_pairs: set[tuple[int, int]] = set()
-    with open(src / "test.tsv", encoding="utf-8") as fh:
-        for rec in parse_interactions(fh, "tsv"):
-            if rec.user_ext not in user_index or rec.item_ext not in item_index:
-                raise ValueError(
-                    f"test pair ({rec.user_ext}, {rec.item_ext}) outside the train index space"
-                )
-            test_pairs.add((user_index[rec.user_ext], item_index[rec.item_ext]))
-    _check_meta(meta, {"n_test": len(test_pairs)})
+    train = _load_train(src, meta)
+    columns = _read_pairs(src / "test.tsv")
+    users = _codes_in(columns.users, train.user_ids)
+    items = _codes_in(columns.items, train.item_ids)
+    outside = np.flatnonzero((users < 0) | (items < 0))
+    if len(outside):
+        k = outside[0]
+        raise SplitFormatError(
+            f"test pair ({columns.users[k]}, {columns.items[k]}) outside the train index space"
+        )
+    test = InteractionSet.from_pairs(train.n_users, train.n_items, users, items,
+                                     train.user_ids, train.item_ids)
+    _check_meta(meta, src, {"n_test": test.n_interactions()})
     return SplitPair(
         train=train,
-        test=test_pairs,
-        protocol=meta["protocol"],
-        protocol_param=float(meta["protocol_param"]),
-        seed=int(meta["seed"]),
-        n_excluded_users=int(meta.get("n_excluded_users", 0)),
-        n_swapped=int(meta.get("n_swapped", 0)),
-        n_rescued=int(meta.get("n_rescued", 0)),
+        test=test,
+        protocol=_meta_field(meta, src, "protocol", str),
+        protocol_param=_meta_field(meta, src, "protocol_param", float),
+        seed=_meta_field(meta, src, "seed", int),
+        n_excluded_users=_meta_field(meta, src, "n_excluded_users", int, default=0),
+        n_swapped=_meta_field(meta, src, "n_swapped", int, default=0),
+        n_rescued=_meta_field(meta, src, "n_rescued", int, default=0),
     )

@@ -27,3 +27,7 @@ class NumericError(SpectralCFError, RuntimeError):
 
 class DegenerateInterpolationError(SpectralCFError, ValueError):
     """Repeated eigenvalues demand conflicting filter targets."""
+
+
+class SplitFormatError(SpectralCFError, ValueError):
+    """A persisted split whose files miss a field or disagree with each other."""

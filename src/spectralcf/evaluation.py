@@ -78,9 +78,6 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
         raise ValueError("cutoffs must be positive")
     train = split.train
     n_items = train.n_items
-    test_by_user: dict[int, set[int]] = {}
-    for u, i in split.test:
-        test_by_user.setdefault(u, set()).add(i)
 
     recall_sums = {m: 0.0 for m in cutoffs}
     map_sums = {m: 0.0 for m in cutoffs}
@@ -88,11 +85,11 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
     n_eval = 0
     max_m = cutoffs[-1]
     for u in range(train.n_users):
-        relevant = test_by_user.get(u)
+        relevant = set(split.test_items_of(u))
         if not relevant:
             continue
         n_eval += 1
-        ranked = top_m(user_scores(scorer, u, n_items), train.user_items[u], max_m)
+        ranked = top_m(user_scores(scorer, u, n_items), train.items_of(u), max_m)
         row = {"user": u, "n_test": len(relevant)}
         for m in cutoffs:
             rec = recall_at_m(ranked, relevant, m)

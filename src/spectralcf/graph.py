@@ -80,7 +80,7 @@ class ConvKernel:
 
 def build_graph(train: InteractionSet) -> BipartiteGraph:
     """Assemble the adjacency and degree vector from training interactions."""
-    if not train.pairs:
+    if not train.n_interactions():
         raise ValueError("training set is empty")
     R = train.to_csr()
     A = sp.bmat([[None, R], [R.T, None]], format="csr")

@@ -73,27 +73,38 @@ def init_opt_state(params: ModelParams) -> OptState:
     )
 
 
-def sample_batch(train: InteractionSet, batch_size: int, rng: np.random.Generator) -> list[Triple]:
-    """Draw triples: user uniform, positive uniform over the user's items,
-    negative uniform over the complement via rejection sampling.
+def eligible_users(train: InteractionSet) -> list[int]:
+    """Users with a negative item to draw, ascending.
 
     Users who interacted with every item have no negatives and are excluded
-    (with a warning).
+    (with a warning); having none left is an error.
     """
-    n_items = train.n_items
-    eligible = [u for u in range(train.n_users) if len(train.user_items[u]) < n_items]
+    eligible = np.flatnonzero(np.diff(train.indptr) < train.n_items).tolist()
     if not eligible:
         raise ValueError("no user has a negative item to sample")
     if len(eligible) < train.n_users:
         warnings.warn(
             f"{train.n_users - len(eligible)} user(s) interact with every item; "
             "excluded from triple sampling",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return eligible
+
+
+def sample_batch(train: InteractionSet, batch_size: int, rng: np.random.Generator,
+                 eligible: list[int] | None = None) -> list[Triple]:
+    """Draw triples: user uniform over ``eligible`` (default
+    :func:`eligible_users`), positive uniform over the user's items, negative
+    uniform over the complement via rejection sampling.
+    """
+    if eligible is None:
+        eligible = eligible_users(train)
+    n_items = train.n_items
+    bounds = train.indptr.tolist()
     batch = []
     for _ in range(batch_size):
         u = eligible[int(rng.integers(len(eligible)))]
-        positives = train.user_items[u]
+        positives = train.indices[bounds[u]:bounds[u + 1]]
         j = int(positives[int(rng.integers(len(positives)))])
         while True:
             cand = int(rng.integers(n_items))
@@ -216,10 +227,12 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
 
     Each epoch draws ``steps_per_epoch`` batches (default one, matching the
     one-batch-per-epoch schedule) and applies one RMSprop update per batch.
-    Deterministic for fixed seeds. Numeric failures abort with the epoch
-    number and the last finite loss.
+    Deterministic for fixed seeds. The sampler's eligible users (and the
+    warning about users who interact with every item) are worked out once per
+    run. Numeric failures abort with the epoch number and the last finite loss.
     """
     rng = np.random.default_rng(train_config.seed)
+    eligible = eligible_users(train_set)
     params = init_params(model_config, train_set.n_users, train_set.n_items)
     opt = init_opt_state(params)
     history: list[float] = []
@@ -228,7 +241,7 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
         epoch_losses = []
         try:
             for _ in range(train_config.steps_per_epoch):
-                batch = sample_batch(train_set, train_config.batch_size, rng)
+                batch = sample_batch(train_set, train_config.batch_size, rng, eligible)
                 factors, trace = forward(params, kernel, model_config)
                 loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope)
                 grads = backward(params, kernel, model_config, batch,

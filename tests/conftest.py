@@ -13,22 +13,16 @@ def make_interactions(n_users, n_items, pairs):
     Every user and item index must appear in at least one pair. External ids
     are u1..uN / i1..iM so index k maps to id k+1.
     """
-    pairs = set(pairs)
-    user_items = [
-        np.array(sorted(i for (u, i) in pairs if u == r), dtype=np.int64)
-        for r in range(n_users)
-    ]
-    for r, items in enumerate(user_items):
-        if len(items) == 0:
-            raise ValueError(f"user index {r} has no interactions")
-    touched = {i for (_, i) in pairs}
-    if touched != set(range(n_items)):
+    pairs = sorted(set(pairs))
+    if {u for (u, _) in pairs} != set(range(n_users)):
+        raise ValueError("every user index needs at least one interaction")
+    if {i for (_, i) in pairs} != set(range(n_items)):
         raise ValueError("every item index needs at least one interaction")
-    return InteractionSet(
-        n_users=n_users,
-        n_items=n_items,
-        pairs=pairs,
-        user_items=user_items,
+    return InteractionSet.from_pairs(
+        n_users,
+        n_items,
+        [u for (u, _) in pairs],
+        [i for (_, i) in pairs],
         user_ids=[f"u{r + 1}" for r in range(n_users)],
         item_ids=[f"i{c + 1}" for c in range(n_items)],
     )

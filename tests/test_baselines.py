@@ -11,8 +11,8 @@ from conftest import make_interactions, random_interactions
 def dense_cosine_oracle(train):
     """Item-item cosine over 0/1 interaction columns, diagonal zeroed."""
     R = np.zeros((train.n_users, train.n_items))
-    for u, items in enumerate(train.user_items):
-        R[u, items] = 1.0
+    for u in range(train.n_users):
+        R[u, train.items_of(u)] = 1.0
     sim = np.zeros((train.n_items, train.n_items))
     for i in range(train.n_items):
         for j in range(train.n_items):
@@ -74,7 +74,7 @@ class TestItemKnn:
         for u in range(ds.n_users):
             vec = scorer(u)
             for i in range(ds.n_items):
-                want = kept[i, ds.user_items[u]].sum()
+                want = kept[i, ds.items_of(u)].sum()
                 assert baselines.score_itemknn(model, ds, u, i) == pytest.approx(want)
                 assert vec[i] == pytest.approx(want)
 

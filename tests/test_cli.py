@@ -24,6 +24,20 @@ def write_raw(path, rng, n_users=12, n_items=10, density=0.45):
     return path
 
 
+def write_movielens(path):
+    """A fixed ``::`` file: skewed item popularity, repeated pairs, users
+    with one or two interactions, lines in shuffled order."""
+    rng = np.random.default_rng(20)
+    popularity = 1.0 / np.arange(1, 41) ** 1.2
+    lines = []
+    for u in range(1, 51):
+        for i in rng.choice(40, size=int(rng.integers(1, 25)), p=popularity / popularity.sum()):
+            rating, stamp = rng.integers(1, 6), 978300000 + rng.integers(10**6)
+            lines.append(f"{u * 3}::{i * 7 + 1}::{rating}::{stamp}")
+    path.write_text("\n".join(rng.permutation(lines)) + "\n")
+    return path
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -70,6 +84,24 @@ class TestSplit:
             assert code == 0, err
             digests.append(tree_digest(out_dir))
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("protocol, train_sha, test_sha", [
+        (["--protocol", "standard", "--fraction", "0.8"],
+         "5f4b0d81478e2bff33b776390fa9383fee107770e67eb87d1411f47a0b6290d0",
+         "cfee8be0ba27c5ca8d2f0072e98506d19da069c2d98565f9c7addf88a60c6fad"),
+        (["--protocol", "cold-start", "--p", "2"],
+         "3498ab89bd2a49deeaa1a51fc1be2230b2dd314acfb2683fb7d093805b13cf0a",
+         "70a44bd625b9844ade30465caa47e6b87f572b289bffc320a0a32884eb7cb6a0"),
+    ])
+    def test_split_bytes_pinned(self, tmp_path, capsys, protocol, train_sha, test_sha):
+        """The split files of a fixed input keep the bytes they have always had."""
+        raw = write_movielens(tmp_path / "ratings.dat")
+        out = tmp_path / "split"
+        code, _, err = run(capsys, ["split", "--input", str(raw), "--format", "movielens-dat",
+                                    "--seed", "5", "--out-dir", str(out), *protocol])
+        assert code == 0, err
+        assert hashlib.sha256((out / "train.tsv").read_bytes()).hexdigest() == train_sha
+        assert hashlib.sha256((out / "test.tsv").read_bytes()).hexdigest() == test_sha
 
     def test_cold_start_protocol(self, tmp_path, capsys):
         raw = write_raw(tmp_path / "raw.tsv", np.random.default_rng(2))

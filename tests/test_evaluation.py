@@ -33,7 +33,7 @@ def naive_evaluate(score_fn, split, cutoffs, denom=MAP_DENOM_TRUNCATED):
         relevant = set(split.test_items_of(u))
         if not relevant:
             continue
-        seen = set(int(i) for i in train.user_items[u])
+        seen = set(int(i) for i in train.items_of(u))
         scores = score_fn(u)
         candidates = [i for i in range(train.n_items) if i not in seen]
         ranked = sorted(candidates, key=lambda i: (-scores[i], i))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestSampler:
             batch = training.sample_batch(ds, 64, np.random.default_rng(trial))
             assert len(batch) == 64
             for t in batch:
-                items = ds.user_items[t.r]
+                items = ds.items_of(t.r)
                 assert t.j in items
                 assert t.j_neg not in items
 
@@ -63,6 +65,14 @@ class TestSampler:
             batch = training.sample_batch(ds, 16, np.random.default_rng(0))
         assert all(t.r == 1 for t in batch)
         assert all(t.j_neg == 1 for t in batch)
+
+    def test_saturated_user_warned_once_per_run(self):
+        ds = make_interactions(2, 2, {(0, 0), (0, 1), (1, 0)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            training.train(ds, None, model.ModelConfig(K=0, C=2),
+                           TrainConfig(batch_size=4, epochs=3))
+        assert sum("every item" in str(w.message) for w in caught) == 1
 
     def test_no_eligible_user_raises(self):
         ds = make_interactions(1, 2, {(0, 0), (0, 1)})
