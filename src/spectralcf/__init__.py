@@ -4,7 +4,8 @@ Latent factors are learned directly in the graph's frequency domain: a
 convolution kernel built from the Laplacian eigensystem (or its sparse
 closed form) propagates user and item vectors through K sigmoid layers,
 all layer outputs are concatenated, and the concatenation is trained
-with a pairwise ranking loss.
+with a pairwise ranking loss on batches of (user, interacted item,
+non-interacted item) triples, drawn as index arrays (``Batch``).
 """
 
 from .baselines import (
@@ -67,6 +68,6 @@ from .model import (
     score,
     top_m,
 )
-from .training import TrainConfig, bpr_loss, sample_batch, train
+from .training import Batch, TrainConfig, bpr_loss, sample_batch, train
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 All share the evaluation module. BPR-MF is the spectral model with no
 propagation layers (K = 0, factors = input embeddings), trained by the same
-loop: same triple sampler, pairwise loss, gradients and RMSprop step, so
-identical seeds produce identical triple sequences across the two models.
+loop: same batched triple sampler (``training.sample_batch``), pairwise loss,
+gradients and RMSprop step, so identical seeds draw identical batches for the
+two models.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BprMfModel
+from .data import atomic_open
 from .model import ModelConfig, ModelParams
 
 _MAGIC = b"SPCK"
@@ -51,7 +52,8 @@ def _read_array(fh, shape) -> np.ndarray:
 
 
 def save_checkpoint(obj, path) -> None:
-    with open(path, "wb") as fh:
+    """Write ``obj`` to ``path`` atomically: a failed save keeps the old file."""
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         if isinstance(obj, SpectralCheckpoint):
             cfg, params = obj.config, obj.params

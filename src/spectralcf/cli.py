@@ -185,7 +185,6 @@ def _build_kernel(split_dir: Path, g, kernel_flag: str, normalization: str,
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
     train_set = data.load_train(args.split_dir)
-    g = graph.build_graph(train_set)
 
     which = str(_resolve(args, cfg, "model"))
     seed = _resolve(args, cfg, "seed")
@@ -206,35 +205,31 @@ def cmd_train(args) -> int:
     ckpt_path = _out_path(args, args.checkpoint)
     log_path = _out_path(args, args.loss_log)
 
-    try:
-        if which == "spectralcf":
-            mc = model.ModelConfig(
-                K=_resolve(args, cfg, "K"),
-                C=_resolve(args, cfg, "C"),
-                F=_resolve(args, cfg, "F"),
-                seed=seed,
-            )
-            kernel = _build_kernel(
-                Path(args.split_dir), g, str(_resolve(args, cfg, "kernel")),
-                str(_resolve(args, cfg, "normalization")), out / "basis_cache",
-            )
-            params, history = training.train(train_set, kernel, mc, tc)
-            payload = SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon)
-        elif which == "bpr-mf":
-            mf, history = baselines.fit_bpr_mf(
-                train_set, _resolve(args, cfg, "d"), tc, init_seed=seed,
-            )
-            payload = BprMfCheckpoint(mf, tc.rms_decay, tc.rms_epsilon)
-        else:
-            raise ValueError(f"unknown model: {which!r}")
-        save_checkpoint(payload, ckpt_path)
-    except Exception:
-        # Never leave a partially written checkpoint behind.
-        if ckpt_path.exists():
-            ckpt_path.unlink()
-        raise
+    if which == "spectralcf":
+        mc = model.ModelConfig(
+            K=_resolve(args, cfg, "K"),
+            C=_resolve(args, cfg, "C"),
+            F=_resolve(args, cfg, "F"),
+            seed=seed,
+        )
+        kernel = _build_kernel(
+            Path(args.split_dir), graph.build_graph(train_set),
+            str(_resolve(args, cfg, "kernel")),
+            str(_resolve(args, cfg, "normalization")), out / "basis_cache",
+        )
+        params, history = training.train(train_set, kernel, mc, tc)
+        payload = SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon)
+    elif which == "bpr-mf":
+        mf, history = baselines.fit_bpr_mf(
+            train_set, _resolve(args, cfg, "d"), tc, init_seed=seed,
+        )
+        payload = BprMfCheckpoint(mf, tc.rms_decay, tc.rms_epsilon)
+    else:
+        raise ValueError(f"unknown model: {which!r}")
 
-    with open(log_path, "w", encoding="utf-8") as fh:
+    # Both files are replaced only once training has succeeded, each atomically.
+    save_checkpoint(payload, ckpt_path)
+    with data.atomic_open(log_path, "w", encoding="utf-8") as fh:
         for epoch, loss in enumerate(history, start=1):
             fh.write(f"{epoch}\t{loss:.10f}\n")
     print(f"model\t{which}")
@@ -352,7 +347,7 @@ def cmd_spectral_embed(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = _out_path(args, args.output)
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.atomic_open(path, "w", encoding="utf-8") as fh:
         for v in range(g.n_vertices):
             if v < g.n_users:
                 kind, ext = "user", dataset.user_ids[v]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from operator import methodcaller
@@ -428,19 +429,27 @@ def _pairs_bytes(s: InteractionSet) -> bytes:
     return "".join([f"{u}\t{i}\n" for u, i in zip(users, items)]).encode("utf-8")
 
 
-def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
-    """Write each payload to a temporary file in ``out``, then move them all
-    into place, so an interrupted write leaves the previous files intact."""
-    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in payloads}
+@contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing; on a clean exit move
+    it over ``path``, on any exception (interrupts included) delete it, so
+    ``path`` holds either its previous bytes or the complete new ones."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        for name, payload in payloads.items():
-            with open(temps[name], "wb") as fh:
-                fh.write(payload)
-        for name, tmp in temps.items():
-            os.replace(tmp, out / name)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
     finally:
-        for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
+
+
+def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
+    """Write every payload to its temporary file before moving any of them
+    into place, so a failed write leaves all the previous files intact."""
+    with ExitStack() as stack:
+        for name, payload in payloads.items():
+            stack.enter_context(atomic_open(out / name)).write(payload)
 
 
 def save_split(split: SplitPair, out_dir) -> None:

@@ -8,11 +8,10 @@ averaged over evaluable users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import SplitPair
+from .data import SplitPair, atomic_open
 from .model import FactorTable, top_m
 
 MAP_DENOM_TRUNCATED = "truncated"  # min(|relevant|, M)
@@ -120,8 +119,7 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
 def save_report(report: EvalReport, path, header: dict | None = None) -> None:
     """Write the report: '# key=value' metadata lines, then one
     cutoff<TAB>metric<TAB>value line per entry."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         meta = {
             "n_evaluable_users": report.n_evaluable_users,
             "n_skipped_users": report.n_skipped_users,

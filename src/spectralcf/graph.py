@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet
+from .data import InteractionSet, atomic_open
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
 
 NORM_SYM = "sym_orthonormal"
@@ -262,7 +262,7 @@ def spectral_coordinates(basis: SpectralBasis, k: int) -> np.ndarray:
 def save_basis(basis: SpectralBasis, path) -> None:
     """Write the eigensystem cache: SPCF header, then values and row-major vectors."""
     n = basis.n_vertices
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<IQB", _CACHE_VERSION, n, _NORM_TAGS[basis.normalization]))
         fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8").tobytes())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,13 +23,13 @@ REG_FULL = "full"
 REG_BATCH_ROWS = "batch_rows"
 
 
-@dataclass(frozen=True)
-class Triple:
-    """User r with an interacted item j and a non-interacted item j_neg."""
+class Batch(NamedTuple):
+    """Triples as parallel index arrays: user ``r[t]`` with an interacted item
+    ``j[t]`` and a non-interacted item ``j_neg[t]``."""
 
-    r: int
-    j: int
-    j_neg: int
+    r: np.ndarray
+    j: np.ndarray
+    j_neg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,14 @@ def init_opt_state(params: ModelParams) -> OptState:
     )
 
 
-def eligible_users(train: InteractionSet) -> list[int]:
+def eligible_users(train: InteractionSet) -> np.ndarray:
     """Users with a negative item to draw, ascending.
 
     Users who interacted with every item have no negatives and are excluded
     (with a warning); having none left is an error.
     """
-    eligible = np.flatnonzero(np.diff(train.indptr) < train.n_items).tolist()
-    if not eligible:
+    eligible = np.flatnonzero(np.diff(train.indptr) < train.n_items)
+    if not len(eligible):
         raise ValueError("no user has a negative item to sample")
     if len(eligible) < train.n_users:
         warnings.warn(
@@ -91,35 +92,40 @@ def eligible_users(train: InteractionSet) -> list[int]:
     return eligible
 
 
+def pair_keys(train: InteractionSet) -> np.ndarray:
+    """``u * n_items + i`` for every interaction, ascending: rows are ascending
+    and each row's items are sorted, so the CSR order is already key order."""
+    return train.rows() * train.n_items + train.indices
+
+
 def sample_batch(train: InteractionSet, batch_size: int, rng: np.random.Generator,
-                 eligible: list[int] | None = None) -> list[Triple]:
-    """Draw triples: user uniform over ``eligible`` (default
-    :func:`eligible_users`), positive uniform over the user's items, negative
-    uniform over the complement via rejection sampling.
+                 eligible: np.ndarray | None = None,
+                 keys: np.ndarray | None = None) -> Batch:
+    """Draw ``batch_size`` triples with array operations.
+
+    Users are uniform over ``eligible`` (default :func:`eligible_users`) and
+    positives uniform over each user's items. Negatives are uniform over the
+    user's complement by rejection in rounds: every round looks the slots'
+    keys up in ``keys`` (default :func:`pair_keys`) and redraws only the
+    slots that hit an interaction. Draw order: all users, all positives, then
+    the negatives round by round.
     """
     if eligible is None:
         eligible = eligible_users(train)
+    if keys is None:
+        keys = pair_keys(train)
     n_items = train.n_items
-    bounds = train.indptr.tolist()
-    batch = []
-    for _ in range(batch_size):
-        u = eligible[int(rng.integers(len(eligible)))]
-        positives = train.indices[bounds[u]:bounds[u + 1]]
-        j = int(positives[int(rng.integers(len(positives)))])
-        while True:
-            cand = int(rng.integers(n_items))
-            pos = np.searchsorted(positives, cand)
-            if pos >= len(positives) or positives[pos] != cand:
-                break
-        batch.append(Triple(u, j, cand))
-    return batch
-
-
-def _batch_arrays(batch: list[Triple]):
-    r = np.array([t.r for t in batch], dtype=np.int64)
-    j = np.array([t.j for t in batch], dtype=np.int64)
-    jn = np.array([t.j_neg for t in batch], dtype=np.int64)
-    return r, j, jn
+    r = eligible[rng.integers(len(eligible), size=batch_size)]
+    start = train.indptr[r]
+    j = train.indices[start + rng.integers(train.indptr[r + 1] - start)]
+    j_neg = rng.integers(n_items, size=batch_size)
+    todo = np.arange(batch_size)
+    while len(todo):
+        cand = r[todo] * n_items + j_neg[todo]
+        pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+        todo = todo[keys[pos] == cand]
+        j_neg[todo] = rng.integers(n_items, size=len(todo))
+    return Batch(r, j, j_neg)
 
 
 def _reg_rows(r, j, jn, scope):
@@ -129,14 +135,14 @@ def _reg_rows(r, j, jn, scope):
     return np.unique(r), np.unique(np.concatenate([j, jn]))
 
 
-def bpr_loss(factors: FactorTable, batch: list[Triple], reg: float,
+def bpr_loss(factors: FactorTable, batch: Batch, reg: float,
              reg_scope: str = REG_FULL) -> float:
     """Sum over triples of -ln sigmoid(score(r,j) - score(r,j_neg)), plus the
     squared-Frobenius regularizer over the factor tables (applied once per
     batch, not divided by the batch size)."""
-    if not batch:
+    r, j, jn = batch
+    if not len(r):
         raise ValueError("batch is empty")
-    r, j, jn = _batch_arrays(batch)
     diff = np.einsum("ij,ij->i", factors.V_u[r], factors.V_i[j] - factors.V_i[jn])
     loss = np.logaddexp(0.0, -diff).sum()
     if reg != 0.0:
@@ -148,7 +154,7 @@ def bpr_loss(factors: FactorTable, batch: list[Triple], reg: float,
 
 
 def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig,
-             batch: list[Triple], reg: float, trace: LayerTrace,
+             batch: Batch, reg: float, trace: LayerTrace,
              reg_scope: str = REG_FULL) -> ModelParams:
     """Exact gradients of :func:`bpr_loss` w.r.t. every parameter array.
 
@@ -161,7 +167,7 @@ def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig
     n_users = params.n_users
     V = np.hstack(trace.xs)
     V_u, V_i = V[:n_users], V[n_users:]
-    r, j, jn = _batch_arrays(batch)
+    r, j, jn = batch
 
     diff = np.einsum("ij,ij->i", V_u[r], V_i[j] - V_i[jn])
     # d/d(diff) of softplus(-diff)
@@ -228,11 +234,13 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
     Each epoch draws ``steps_per_epoch`` batches (default one, matching the
     one-batch-per-epoch schedule) and applies one RMSprop update per batch.
     Deterministic for fixed seeds. The sampler's eligible users (and the
-    warning about users who interact with every item) are worked out once per
-    run. Numeric failures abort with the epoch number and the last finite loss.
+    warning about users who interact with every item) and its sorted
+    interaction keys are worked out once per run. Numeric failures abort with
+    the epoch number and the last finite loss.
     """
     rng = np.random.default_rng(train_config.seed)
     eligible = eligible_users(train_set)
+    keys = pair_keys(train_set)
     params = init_params(model_config, train_set.n_users, train_set.n_items)
     opt = init_opt_state(params)
     history: list[float] = []
@@ -241,7 +249,7 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
         epoch_losses = []
         try:
             for _ in range(train_config.steps_per_epoch):
-                batch = sample_batch(train_set, train_config.batch_size, rng, eligible)
+                batch = sample_batch(train_set, train_config.batch_size, rng, eligible, keys)
                 factors, trace = forward(params, kernel, model_config)
                 loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope)
                 grads = backward(params, kernel, model_config, batch,

@@ -136,8 +136,8 @@ class TestBprMf:
             _, model, batch = self._instance(rng)
             reg = 1e-3
             want = 0.0
-            for t in batch:
-                diff = model.P_u[t.r] @ (model.Q_i[t.j] - model.Q_i[t.j_neg])
+            for r, j, j_neg in zip(batch.r, batch.j, batch.j_neg):
+                diff = model.P_u[r] @ (model.Q_i[j] - model.Q_i[j_neg])
                 want += float(np.logaddexp(0.0, -diff))
             want += reg * ((model.P_u ** 2).sum() + (model.Q_i ** 2).sum())
             got = mf_loss(model, batch, reg)
@@ -210,4 +210,4 @@ class TestSharedSampler:
         for _ in range(5):
             a = training.sample_batch(toy_set, 6, rng_a)
             b = training.sample_batch(toy_set, 6, rng_b)
-            assert a == b
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))

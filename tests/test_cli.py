@@ -178,6 +178,34 @@ class TestTrainEvaluateRecommend:
         ])
         assert code == 0, err
 
+    def test_bpr_mf_skips_the_graph(self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("bpr-mf training built the graph")
+
+        monkeypatch.setattr(cli.graph, "build_graph", no_graph)
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--model", "bpr-mf",
+            "--d", "4", "--epochs", "3", "--batch-size", "8",
+            "--out-dir", str(tmp_path / "mf"),
+        ])
+        assert code == 0, err
+
+    def test_failed_retrain_keeps_previous_model(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "retrain"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        assert {"model.spck", "loss.tsv"} <= before.keys()
+        code, _, err = self._train(capsys, split_dir, out_dir,
+                                   extra=("--lr", "1e300", "--epochs", "50"))
+        assert code == 1
+        assert "training aborted" in err
+        after = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        assert after == before
+
     def test_kernel_forms_reach_same_loss(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
         finals = {}

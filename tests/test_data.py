@@ -284,6 +284,20 @@ class TestSplitPersistence:
         err = capsys.readouterr().err
         assert "split.meta" in err and "n_users" in err
 
+    def test_interrupted_atomic_write_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "model.spck"
+        path.write_bytes(b"previous")
+        with pytest.raises(KeyboardInterrupt):
+            with data.atomic_open(path) as fh:
+                fh.write(b"half of the new")
+                raise KeyboardInterrupt
+        assert [p.name for p in tmp_path.iterdir()] == ["model.spck"]
+        assert path.read_bytes() == b"previous"
+        with data.atomic_open(path) as fh:
+            fh.write(b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.spck"]
+        assert path.read_bytes() == b"new"
+
     def test_failed_write_keeps_previous_files(self, tmp_path, toy_set, monkeypatch):
         data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

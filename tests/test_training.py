@@ -6,7 +6,7 @@ import pytest
 from spectralcf import graph, model, training
 from spectralcf.errors import NumericError
 from spectralcf.model import ModelParams
-from spectralcf.training import REG_BATCH_ROWS, REG_FULL, TrainConfig, Triple
+from spectralcf.training import REG_BATCH_ROWS, REG_FULL, Batch, TrainConfig
 
 from conftest import make_interactions, random_interactions
 
@@ -47,24 +47,65 @@ class TestSampler:
         for trial in range(10):
             ds = random_interactions(rng, max_users=6, max_items=10, density=0.4)
             batch = training.sample_batch(ds, 64, np.random.default_rng(trial))
-            assert len(batch) == 64
-            for t in batch:
-                items = ds.items_of(t.r)
-                assert t.j in items
-                assert t.j_neg not in items
+            assert all(len(a) == 64 and a.dtype == np.int64 for a in batch)
+            for r, j, j_neg in zip(batch.r, batch.j, batch.j_neg):
+                items = ds.items_of(r)
+                assert j in items
+                assert j_neg not in items
 
     def test_deterministic(self, toy_set):
         a = training.sample_batch(toy_set, 32, np.random.default_rng(9))
         b = training.sample_batch(toy_set, 32, np.random.default_rng(9))
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_precomputed_tables_draw_the_same_batch(self, toy_set):
+        a = training.sample_batch(toy_set, 32, np.random.default_rng(9))
+        b = training.sample_batch(toy_set, 32, np.random.default_rng(9),
+                                  training.eligible_users(toy_set),
+                                  training.pair_keys(toy_set))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_saturated_user_excluded_with_warning(self):
         # u1 has every item; only u2 can contribute triples.
         ds = make_interactions(2, 2, {(0, 0), (0, 1), (1, 0)})
         with pytest.warns(UserWarning):
             batch = training.sample_batch(ds, 16, np.random.default_rng(0))
-        assert all(t.r == 1 for t in batch)
-        assert all(t.j_neg == 1 for t in batch)
+        assert np.array_equal(batch.r, np.ones(16))
+        assert np.array_equal(batch.j_neg, np.ones(16))
+
+    def test_near_saturated_user_draws_the_missing_item(self):
+        # u1 has every item but i4; u2 keeps a second user in the draw.
+        n_items = 12
+        pairs = {(0, i) for i in range(n_items) if i != 4} | {(1, 4)}
+        ds = make_interactions(2, n_items, pairs)
+        batch = training.sample_batch(ds, 2000, np.random.default_rng(5))
+        near = batch.r == 0
+        assert near.sum() > 900
+        assert np.array_equal(batch.j_neg[near], np.full(near.sum(), 4))
+        assert not np.isin(4, batch.j_neg[~near])
+
+    def test_draws_are_uniform(self):
+        # Users, positives within a user and negatives within the user's
+        # complement: every cell within 5% of its expected count.
+        pairs = {(0, 0), (0, 3), (0, 5), (1, 1), (1, 2), (2, 0), (2, 1), (2, 6),
+                 (2, 7), (3, 4), (3, 6)}
+        ds = make_interactions(4, 8, pairs)
+        n = 200_000
+        batch = training.sample_batch(ds, n, np.random.default_rng(20))
+
+        def within_5pct(counts, expected):
+            assert np.all(np.abs(counts - expected) <= 0.05 * expected), counts
+
+        within_5pct(np.bincount(batch.r, minlength=4), n / 4)
+        for u in range(4):
+            mine = batch.r == u
+            items = ds.items_of(u)
+            others = np.setdiff1d(np.arange(8), items)
+            pos = np.bincount(batch.j[mine], minlength=8)
+            neg = np.bincount(batch.j_neg[mine], minlength=8)
+            assert pos[others].sum() == 0 and neg[items].sum() == 0
+            within_5pct(pos[items], mine.sum() / len(items))
+            within_5pct(neg[others], mine.sum() / len(others))
 
     def test_saturated_user_warned_once_per_run(self):
         ds = make_interactions(2, 2, {(0, 0), (0, 1), (1, 0)})
@@ -97,8 +138,8 @@ class TestLoss:
             reg = 1e-2
             got = training.bpr_loss(factors, batch, reg, REG_FULL)
             expected = 0.0
-            for t in batch:
-                diff = factors.V_u[t.r] @ (factors.V_i[t.j] - factors.V_i[t.j_neg])
+            for r, j, j_neg in zip(batch.r, batch.j, batch.j_neg):
+                diff = factors.V_u[r] @ (factors.V_i[j] - factors.V_i[j_neg])
                 expected += -np.log(1.0 / (1.0 + np.exp(-diff)))
             expected += reg * (np.sum(factors.V_u ** 2) + np.sum(factors.V_i ** 2))
             assert got == pytest.approx(expected, rel=1e-10)
@@ -108,11 +149,11 @@ class TestLoss:
         factors, _ = model.forward(params, kern, cfg)
         reg = 1e-2
         got = training.bpr_loss(factors, batch, reg, REG_BATCH_ROWS)
-        users = {t.r for t in batch}
-        items = {t.j for t in batch} | {t.j_neg for t in batch}
+        users = set(batch.r.tolist())
+        items = set(batch.j.tolist()) | set(batch.j_neg.tolist())
         expected = 0.0
-        for t in batch:
-            diff = factors.V_u[t.r] @ (factors.V_i[t.j] - factors.V_i[t.j_neg])
+        for r, j, j_neg in zip(batch.r, batch.j, batch.j_neg):
+            diff = factors.V_u[r] @ (factors.V_i[j] - factors.V_i[j_neg])
             expected += -np.log(1.0 / (1.0 + np.exp(-diff)))
         expected += reg * sum(np.sum(factors.V_u[u] ** 2) for u in users)
         expected += reg * sum(np.sum(factors.V_i[i] ** 2) for i in items)
@@ -163,7 +204,7 @@ class TestBackward:
     def test_requires_trace(self, toy_set):
         cfg = model.ModelConfig(K=1, C=3, F=3, seed=0)
         params = model.init_params(cfg, toy_set.n_users, toy_set.n_items)
-        batch = [Triple(0, 0, 1)]
+        batch = Batch(np.array([0]), np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             training.backward(params, kernel_of(toy_set), cfg, batch, 0.0, None, REG_FULL)
 
