@@ -172,6 +172,9 @@ def _build_kernel(split_dir: Path, g, kernel_flag: str, normalization: str,
     form = kernel_flag.replace("-", "_")
     if form == graph.KERNEL_CLOSED_SPARSE:
         return graph.conv_kernel(g, None, form)
+    # A bad form is rejected before the eigendecomposition and its cache file.
+    if form != graph.KERNEL_DENSE_EIG:
+        raise ValueError(f"unknown kernel form: {kernel_flag!r}")
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache = _basis_cache_path(cache_dir, split_dir / "train.tsv", normalization)
     if cache.exists():
@@ -245,7 +248,7 @@ def cmd_train(args) -> int:
 
 
 def _scorer_from_checkpoint(ckpt, train_set, args, cfg):
-    """Turn a loaded checkpoint into a scorer for ``evaluation.user_scores``."""
+    """Turn a loaded checkpoint into a scorer for ``evaluation.block_scores``."""
     if isinstance(ckpt, SpectralCheckpoint):
         if (ckpt.params.n_users != train_set.n_users
                 or ckpt.params.n_items != train_set.n_items):
@@ -318,7 +321,7 @@ def cmd_recommend(args) -> int:
     except ValueError:
         raise ValueError(f"unknown user id: {args.user!r}") from None
 
-    scores = evaluation.user_scores(scorer, u, train_set.n_items)
+    scores = evaluation.block_scores(scorer, np.array([u]), train_set.n_items)[0]
     exclude = train_set.items_of(u) if args.exclude_seen else np.empty(0, dtype=np.int64)
     for i in model.top_m(scores, exclude, _resolve(args, cfg, "M")):
         print(f"{train_set.item_ids[i]}\t{scores[i]:.10f}")

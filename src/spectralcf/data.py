@@ -143,9 +143,6 @@ class SplitPair:
     n_swapped: int = 0
     n_rescued: int = 0
 
-    def test_items_of(self, u: int) -> list[int]:
-        return self.test.items_of(u).tolist()
-
 
 def parse_interactions(source, fmt: str) -> RawColumns:
     """Parse interaction lines from bytes, text or a file object.

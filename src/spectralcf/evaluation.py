@@ -2,7 +2,7 @@
 
 Each evaluable user (non-empty test set) has all items ranked with their
 training items excluded; Recall@M and truncated average precision are
-averaged over evaluable users.
+averaged over evaluable users. Users are scored and ranked in blocks.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SplitPair, atomic_open
-from .model import FactorTable, top_m
+from .model import FactorTable, top_m_rows
 
 MAP_DENOM_TRUNCATED = "truncated"  # min(|relevant|, M)
 MAP_DENOM_RELEVANT = "relevant"
+BLOCK_ROWS = 512  # users scored and ranked together by evaluate
 
 
 @dataclass
@@ -54,14 +55,22 @@ def map_at_m(ranked, relevant: set, M: int, denom: str = MAP_DENOM_TRUNCATED) ->
     return precision_sum / denominator
 
 
-def user_scores(scorer, u: int, n_items: int) -> np.ndarray:
-    """Scores of every item for user u from a FactorTable or a scoring callable."""
+def block_scores(scorer, users: np.ndarray, n_items: int) -> np.ndarray:
+    """Scores of every item for each of ``users``, one row per user.
+
+    ``scorer`` is a FactorTable, scored with one ``V_u[users] @ V_i^T``
+    product, or a callable mapping a user index to a score vector over all
+    items, whose rows are stacked.
+    """
     if isinstance(scorer, FactorTable):
-        return scorer.V_i @ scorer.V_u[u]
-    scores = np.asarray(scorer(u), dtype=np.float64)
-    if scores.shape != (n_items,):
-        raise ValueError(f"scorer returned shape {scores.shape}, expected ({n_items},)")
-    return scores
+        return scorer.V_u[users] @ scorer.V_i.T
+    rows = np.empty((len(users), n_items))
+    for b, u in enumerate(users.tolist()):
+        scores = np.asarray(scorer(u), dtype=np.float64)
+        if scores.shape != (n_items,):
+            raise ValueError(f"scorer returned shape {scores.shape}, expected ({n_items},)")
+        rows[b] = scores
+    return rows
 
 
 def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
@@ -70,42 +79,57 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
 
     ``scorer`` is a FactorTable or a callable mapping a user index to a
     score vector over all items. Users with empty test sets are skipped and
-    counted separately.
+    counted separately. Evaluable users are scored and ranked
+    ``BLOCK_ROWS`` at a time (:func:`model.top_m_rows`), so memory grows
+    with BLOCK_ROWS x n_items, not with the number of users; Recall@M and
+    AP@M come from cumulative sums over rank positions, and per-user values
+    are summed in ascending user order, as a loop over users would.
     """
     cutoffs = sorted(int(m) for m in cutoffs)
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError("cutoffs must be positive")
+    if map_denom not in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
+        raise ValueError(f"unknown map_denom: {map_denom!r}")
     train = split.train
-    n_items = train.n_items
+    seen, relevant = train.to_csr().astype(bool), split.test.to_csr().astype(bool)
+    n_test = np.diff(split.test.indptr)
+    users = np.flatnonzero(n_test)
+    recall = np.empty((len(users), len(cutoffs)))
+    ap = np.empty_like(recall)
+    for lo in range(0, len(users), BLOCK_ROWS):
+        block = users[lo:lo + BLOCK_ROWS]
+        ranked = top_m_rows(block_scores(scorer, block, train.n_items),
+                            seen[block].toarray(), cutoffs[-1])
+        hit = np.take_along_axis(relevant[block].toarray(), ranked, axis=1) & (ranked >= 0)
+        hits = np.cumsum(hit, axis=1)
+        # precision@k summed over the hit ranks k, in rank order
+        precision_sum = np.cumsum(np.where(hit, hits / np.arange(1, hit.shape[1] + 1), 0.0),
+                                  axis=1)
+        at = np.minimum(cutoffs, hit.shape[1]) - 1
+        n_rel = n_test[block][:, None]
+        denom = n_rel if map_denom == MAP_DENOM_RELEVANT else np.minimum(n_rel, cutoffs)
+        recall[lo:lo + len(block)] = hits[:, at] / n_rel
+        ap[lo:lo + len(block)] = precision_sum[:, at] / denom
 
-    recall_sums = {m: 0.0 for m in cutoffs}
-    map_sums = {m: 0.0 for m in cutoffs}
     per_user = []
-    n_eval = 0
-    max_m = cutoffs[-1]
-    for u in range(train.n_users):
-        relevant = set(split.test_items_of(u))
-        if not relevant:
-            continue
-        n_eval += 1
-        ranked = top_m(user_scores(scorer, u, n_items), train.items_of(u), max_m)
-        row = {"user": u, "n_test": len(relevant)}
-        for m in cutoffs:
-            rec = recall_at_m(ranked, relevant, m)
-            ap = map_at_m(ranked, relevant, m, denom=map_denom)
-            recall_sums[m] += rec
-            map_sums[m] += ap
-            row[f"recall@{m}"] = rec
-            row[f"map@{m}"] = ap
-        if keep_per_user:
+    if keep_per_user:
+        for u, rec_row, ap_row in zip(users.tolist(), recall.tolist(), ap.tolist()):
+            row = {"user": u, "n_test": int(n_test[u])}
+            for m, rec, avg in zip(cutoffs, rec_row, ap_row):
+                row[f"recall@{m}"] = rec
+                row[f"map@{m}"] = avg
             per_user.append(row)
 
+    n_eval = len(users)
     if n_eval == 0:
         recall_at = {m: float("nan") for m in cutoffs}
         map_at = {m: float("nan") for m in cutoffs}
     else:
-        recall_at = {m: recall_sums[m] / n_eval for m in cutoffs}
-        map_at = {m: map_sums[m] / n_eval for m in cutoffs}
+        # cumsum adds in sequence, user by user, unlike a pairwise sum()
+        recall_sums = np.cumsum(recall, axis=0)[-1].tolist()
+        map_sums = np.cumsum(ap, axis=0)[-1].tolist()
+        recall_at = {m: s / n_eval for m, s in zip(cutoffs, recall_sums)}
+        map_at = {m: s / n_eval for m, s in zip(cutoffs, map_sums)}
     return EvalReport(
         cutoffs=cutoffs,
         recall_at=recall_at,

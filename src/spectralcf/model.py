@@ -146,17 +146,47 @@ def score(factors: FactorTable, u: int, i: int) -> float:
     return float(factors.V_u[u] @ factors.V_i[i])
 
 
+def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
+    """Row-wise top-M: for each row of ``scores`` (rows x items), the indices
+    of its M highest scores, descending, ties by ascending index.
+
+    ``exclude`` is a boolean mask of the same shape; masked items never
+    appear. Returns a rows x min(M, items) array; a row with fewer candidates
+    than that is padded with -1 at its end. Raises NumericError on any
+    non-finite score, masked or not.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        r, i = np.argwhere(~np.isfinite(scores))[0]
+        raise NumericError(f"non-finite score {scores[r, i]} at row {r}, item {i}")
+    n_rows, n_items = scores.shape
+    width = min(M, n_items)
+    masked = np.where(exclude, -np.inf, scores)
+    # Every candidate scoring at least the width-th largest value; ties at
+    # that value can make a row hold more than width of them.
+    kth = np.partition(masked, n_items - width, axis=1)[:, n_items - width]
+    rows, cols = np.divmod(np.flatnonzero((masked >= kth[:, None]) & ~exclude), n_items)
+    # Row-major order lists each row's columns ascending and lexsort is
+    # stable, so ties keep ascending item index.
+    order = np.lexsort((-masked[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n_rows)
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    keep = rank < width
+    ranked = np.full((n_rows, width), -1, dtype=np.int64)
+    ranked[rows[keep], rank[keep]] = cols[keep]
+    return ranked
+
+
 def top_m(scores: np.ndarray, exclude, M: int) -> np.ndarray:
     """Indices of the M highest scores, descending, ties by ascending index.
 
     ``exclude`` is an array of item indices that never appear; fewer than M
-    candidates yields a shorter list.
+    candidates yields a shorter list. One row of :func:`top_m_rows`.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    keep = np.ones(len(scores), dtype=bool)
-    keep[exclude] = False
-    candidates = np.flatnonzero(keep)
-    # Stable sort on negated scores keeps ascending item index within ties.
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order[:M]]
+    mask = np.zeros((1, len(scores)), dtype=bool)
+    mask[0, exclude] = True
+    ranked = top_m_rows(np.asarray(scores)[None, :], mask, M)[0]
+    return ranked[ranked >= 0]

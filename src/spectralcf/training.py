@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError
 from .data import InteractionSet
@@ -173,10 +174,9 @@ def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig
     # d/d(diff) of softplus(-diff)
     g = -_stable_sigmoid_neg(diff)
 
-    G_V = np.zeros_like(V)
-    np.add.at(G_V, r, g[:, None] * (V_i[j] - V_i[jn]))
-    np.add.at(G_V, n_users + j, g[:, None] * V_u[r])
-    np.add.at(G_V, n_users + jn, -g[:, None] * V_u[r])
+    g_u = g[:, None] * V_u[r]
+    G_V = scatter_add(len(V), np.concatenate([r, n_users + j, n_users + jn]),
+                      np.vstack([g[:, None] * (V_i[j] - V_i[jn]), g_u, -g_u]))
     if reg != 0.0:
         ur, ir = _reg_rows(r, j, jn, reg_scope)
         G_V[:n_users][ur] += 2.0 * reg * V_u[ur]
@@ -196,6 +196,19 @@ def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig
         accum = blocks[k - 1] + kernel.apply(dZ @ params.thetas[k - 1].T)
 
     return ModelParams(X_u0=accum[:n_users], X_i0=accum[n_users:], thetas=grad_thetas)
+
+
+def scatter_add(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out[rows[t]] += values[t]`` into zeros(n_rows, width), in order of t.
+
+    One product with a CSC incidence matrix holding a single 1.0 per column
+    (column t at row ``rows[t]``): the product visits the columns in order,
+    so every row sums its values in the sequence ``np.add.at`` would, bit
+    for bit, at a fraction of its cost.
+    """
+    incidence = sp.csc_matrix(
+        (np.ones(len(rows)), rows, np.arange(len(rows) + 1)), shape=(n_rows, len(rows)))
+    return incidence @ values
 
 
 def _stable_sigmoid_neg(diff: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectralcf import cli
+from spectralcf.checkpoint import load_checkpoint, save_checkpoint
 
 
 def write_raw(path, rng, n_users=12, n_items=10, density=0.45):
@@ -305,6 +306,58 @@ class TestTrainEvaluateRecommend:
         excl = {ln.split("\t")[0] for ln in out_excl.strip().splitlines()}
         incl = {ln.split("\t")[0] for ln in out_incl.strip().splitlines()}
         assert excl < incl
+
+    def test_recommend_rejects_non_finite_scores(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "nan"
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--model", "bpr-mf",
+            "--d", "4", "--epochs", "3", "--batch-size", "8", "--out-dir", str(out_dir),
+        ])
+        assert code == 0, err
+        ckpt = load_checkpoint(out_dir / "model.spck")
+        ckpt.model.Q_i[1, 0] = np.nan
+        save_checkpoint(ckpt, out_dir / "model.spck")
+        code, out, err = run(capsys, [
+            "recommend", "--split-dir", str(split_dir),
+            "--checkpoint", str(out_dir / "model.spck"),
+            "--user", "u0", "-M", "3", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "non-finite score" in err
+        assert out == ""
+
+    def test_unknown_map_denom_in_config_fails(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "denom"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        config = tmp_path / "eval.cfg"
+        config.write_text("map_denom=relevent\n")
+        code, _, err = run(capsys, [
+            "evaluate", "--split-dir", str(split_dir), "--config", str(config),
+            "--checkpoint", str(out_dir / "model.spck"), "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "map_denom" in err
+        assert not (out_dir / "report.tsv").exists()
+
+    def test_unknown_kernel_form_fails_before_eigendecomposition(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "typo"
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigendecompose reached with a bad kernel form")
+
+        monkeypatch.setattr(cli.graph, "eigendecompose", no_eig)
+        config = tmp_path / "train.cfg"
+        config.write_text("kernel=dense_eig_typo\n")
+        code, _, err = self._train(capsys, split_dir, out_dir, extra=("--config", str(config)))
+        assert code == 1
+        assert "unknown kernel form" in err
+        cache = out_dir / "basis_cache"
+        assert not cache.exists() or not any(cache.iterdir())
 
 
 class TestConfigPrecedence:

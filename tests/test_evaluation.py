@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralcf import data, evaluation, model
+from spectralcf.errors import NumericError
 from spectralcf.evaluation import MAP_DENOM_RELEVANT, MAP_DENOM_TRUNCATED
 
 from conftest import make_interactions, random_interactions
@@ -24,26 +25,41 @@ def map_oracle(ranked, relevant, M, denom=MAP_DENOM_TRUNCATED):
     return total / len(relevant)
 
 
-def naive_evaluate(score_fn, split, cutoffs, denom=MAP_DENOM_TRUNCATED):
-    """Plain-python re-implementation used as the oracle."""
+def naive_rows(score_fn, split, cutoffs, denom=MAP_DENOM_TRUNCATED):
+    """Plain-python per-user metrics, in the layout of ``EvalReport.per_user``."""
     train = split.train
-    recall = {m: [] for m in cutoffs}
-    ap = {m: [] for m in cutoffs}
+    rows = []
     for u in range(train.n_users):
-        relevant = set(split.test_items_of(u))
+        relevant = set(split.test.items_of(u).tolist())
         if not relevant:
             continue
         seen = set(int(i) for i in train.items_of(u))
         scores = score_fn(u)
         candidates = [i for i in range(train.n_items) if i not in seen]
         ranked = sorted(candidates, key=lambda i: (-scores[i], i))
+        row = {"user": u, "n_test": len(relevant)}
         for m in cutoffs:
-            recall[m].append(recall_oracle(ranked, relevant, m))
-            ap[m].append(map_oracle(ranked, relevant, m, denom))
+            row[f"recall@{m}"] = recall_oracle(ranked, relevant, m)
+            row[f"map@{m}"] = map_oracle(ranked, relevant, m, denom)
+        rows.append(row)
+    return rows
+
+
+def naive_evaluate(score_fn, split, cutoffs, denom=MAP_DENOM_TRUNCATED):
+    """Plain-python re-implementation used as the oracle: per-user values
+    summed one user after another in ascending order, then averaged."""
+    rows = naive_rows(score_fn, split, cutoffs, denom)
+
+    def mean(key):
+        total = 0.0
+        for row in rows:
+            total += row[key]
+        return total / len(rows)
+
     return (
-        {m: float(np.mean(v)) for m, v in recall.items()},
-        {m: float(np.mean(v)) for m, v in ap.items()},
-        len(next(iter(recall.values()))),
+        {m: mean(f"recall@{m}") for m in cutoffs},
+        {m: mean(f"map@{m}") for m in cutoffs},
+        len(rows),
     )
 
 
@@ -148,7 +164,7 @@ class TestEvaluate:
 
         def oracle(u):
             scores = np.zeros(n_items)
-            for i in split.test_items_of(u):
+            for i in split.test.items_of(u):
                 scores[i] = 1.0
             return scores
 
@@ -166,6 +182,78 @@ class TestEvaluate:
         assert len(report.per_user) == report.n_evaluable_users
         for row in report.per_user:
             assert "recall@2" in row and "map@2" in row
+
+
+class TestBlockwiseEvaluate:
+    """The block ranker against the plain-python oracle, to the last bit."""
+
+    def _split(self, rng, max_users=40):
+        ds = random_interactions(rng, max_users=max_users, max_items=15, density=0.45,
+                                 min_users=12, min_items=5)
+        return data.split_standard(ds, 0.6, rng_seed=int(rng.integers(1000)))
+
+    def test_integer_scores_match_oracle_exactly(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for trial in range(25):
+            split = self._split(rng)
+            n_items = split.train.n_items
+            # Few distinct integer scores force ties inside every ranking.
+            table = rng.integers(0, 3, size=(split.train.n_users, n_items)).astype(float)
+            scorer = lambda u: table[u]
+            # The last cutoff exceeds every user's candidate count.
+            cutoffs = [1, 2, 5, n_items + 2]
+            block_rows = int(rng.integers(1, 5))
+            monkeypatch.setattr(evaluation, "BLOCK_ROWS", block_rows)
+            for denom in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
+                report = evaluation.evaluate(scorer, split, cutoffs, keep_per_user=True,
+                                             map_denom=denom)
+                assert report.n_evaluable_users > block_rows  # crosses a block boundary
+                recall_ref, map_ref, n_ref = naive_evaluate(scorer, split, cutoffs, denom)
+                assert report.n_evaluable_users == n_ref
+                assert report.recall_at == recall_ref
+                assert report.map_at == map_ref
+                assert report.per_user == naive_rows(scorer, split, cutoffs, denom)
+
+    def test_factor_table_matches_callable_and_block_size(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        split = self._split(rng)
+        f = model.FactorTable(
+            V_u=rng.integers(-2, 3, size=(split.train.n_users, 3)).astype(float),
+            V_i=rng.integers(-2, 3, size=(split.train.n_items, 3)).astype(float),
+        )
+        cutoffs = [1, 4, 30]
+        ref = evaluation.evaluate(lambda u: f.V_i @ f.V_u[u], split, cutoffs,
+                                  keep_per_user=True)
+        for block_rows in (1, 2, 7, 512):
+            monkeypatch.setattr(evaluation, "BLOCK_ROWS", block_rows)
+            got = evaluation.evaluate(f, split, cutoffs, keep_per_user=True)
+            assert got == ref
+
+    def test_non_finite_scores_rejected(self):
+        rng = np.random.default_rng(13)
+        split = self._split(rng)
+        user = int(np.flatnonzero(np.diff(split.test.indptr))[-1])
+        for bad in (np.nan, np.inf, -np.inf):
+            f = model.FactorTable(V_u=rng.standard_normal((split.train.n_users, 4)),
+                                  V_i=rng.standard_normal((split.train.n_items, 4)))
+            f.V_u[user, 0] = bad
+            with pytest.raises(NumericError):
+                evaluation.evaluate(f, split, [3])
+        table = rng.standard_normal((split.train.n_users, split.train.n_items))
+        table[user, 0] = np.nan
+        with pytest.raises(NumericError):
+            evaluation.evaluate(lambda u: table[u], split, [3])
+
+    def test_unknown_map_denom_rejected(self):
+        split = self._split(np.random.default_rng(14))
+        scorer = lambda u: np.zeros(split.train.n_items)
+        with pytest.raises(ValueError, match="map_denom"):
+            evaluation.evaluate(scorer, split, [3], map_denom="relevent")
+
+    def test_scorer_shape_checked(self):
+        split = self._split(np.random.default_rng(15))
+        with pytest.raises(ValueError, match="shape"):
+            evaluation.evaluate(lambda u: np.zeros(split.train.n_items + 1), split, [3])
 
 
 class TestReportFile:

@@ -192,6 +192,32 @@ class TestScoring:
         with pytest.raises(ValueError):
             model.top_m(np.zeros(3), [], M=0)
 
+    def test_top_m_rejects_non_finite_scores(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            scores = np.array([1.0, bad, 0.5])
+            with pytest.raises(NumericError):
+                model.top_m(scores, [], M=2)
+            # Excluded or not, a non-finite score is an error.
+            with pytest.raises(NumericError):
+                model.top_m(scores, [1], M=2)
+
+    def test_top_m_rows_matches_sorted_oracle_row_by_row(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n_rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+            scores = rng.integers(0, 4, size=(n_rows, n)).astype(float)
+            scores[rng.random(n_rows) < 0.3] = 0.25  # rows where every score ties
+            exclude = rng.random((n_rows, n)) < 0.4
+            M = int(rng.integers(1, n + 3))
+            ranked = model.top_m_rows(scores, exclude, M)
+            assert ranked.shape == (n_rows, min(M, n))
+            for row, mask, got in zip(scores, exclude, ranked):
+                kept = [i for i in range(n) if not mask[i]]
+                expected = sorted(kept, key=lambda i: (-row[i], i))[:M]
+                assert got[:len(expected)].tolist() == expected
+                assert (got[len(expected):] == -1).all()
+                assert model.top_m(row, np.flatnonzero(mask), M).tolist() == expected
+
 
 class TestSigmoid:
     def test_extreme_inputs_stay_finite(self):

@@ -201,6 +201,45 @@ class TestBackward:
             denom = np.maximum(np.abs(numeric), 1e-6)
             assert (np.abs(analytic - numeric) / denom).max() < 1e-4
 
+    def test_scatter_add_matches_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n_rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 70))
+            # Few distinct rows, so most are hit many times.
+            rows = rng.integers(n_rows, size=int(rng.integers(0, 400)))
+            values = rng.standard_normal((len(rows), width)) * 10.0 ** rng.integers(-8, 8)
+            expected = np.zeros((n_rows, width))
+            np.add.at(expected, rows, values)
+            assert np.array_equal(training.scatter_add(n_rows, rows, values), expected)
+
+    def test_zero_layer_gradient_matches_add_at_reference(self):
+        # At K = 0 the gradient of X_u0 / X_i0 is G_V itself (plus the
+        # regularizer), so backward must equal the three np.add.at scatters.
+        rng = np.random.default_rng(9)
+        for trial in range(10):
+            n_u, n_i, C = int(rng.integers(2, 6)), int(rng.integers(3, 8)), 5
+            cfg = model.ModelConfig(K=0, C=C, seed=trial)
+            params = model.init_params(cfg, n_u, n_i)
+            size = int(rng.integers(1, 300))
+            batch = Batch(rng.integers(n_u, size=size), rng.integers(n_i, size=size),
+                          rng.integers(n_i, size=size))
+            reg = float(rng.choice([0.0, 1e-3]))
+            _, trace = model.forward(params, None, cfg)
+            got = training.backward(params, None, cfg, batch, reg, trace, REG_FULL)
+
+            V_u, V_i = params.X_u0, params.X_i0
+            r, j, jn = batch
+            g = -training._stable_sigmoid_neg(
+                np.einsum("ij,ij->i", V_u[r], V_i[j] - V_i[jn]))
+            G_V = np.zeros((n_u + n_i, C))
+            np.add.at(G_V, r, g[:, None] * (V_i[j] - V_i[jn]))
+            np.add.at(G_V, n_u + j, g[:, None] * V_u[r])
+            np.add.at(G_V, n_u + jn, -g[:, None] * V_u[r])
+            G_V[:n_u] += 2.0 * reg * V_u
+            G_V[n_u:] += 2.0 * reg * V_i
+            assert np.array_equal(got.X_u0, G_V[:n_u])
+            assert np.array_equal(got.X_i0, G_V[n_u:])
+
     def test_requires_trace(self, toy_set):
         cfg = model.ModelConfig(K=1, C=3, F=3, seed=0)
         params = model.init_params(cfg, toy_set.n_users, toy_set.n_items)
