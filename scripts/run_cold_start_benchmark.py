@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         print(f"mean relative recall gain: {np.mean(gains):+.1%}", file=sys.stderr)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with data.atomic_open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\t".join(header) + "\n")
             for row in rows:
                 fh.write(f"{row['P']}\t{row['spectral_recall']:.10f}"

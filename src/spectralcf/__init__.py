@@ -8,21 +8,8 @@ with a pairwise ranking loss on batches of (user, interacted item,
 non-interacted item) triples, drawn as index arrays (``Batch``).
 """
 
-from .baselines import (
-    BprMfModel,
-    ItemKnnModel,
-    bpr_mf_scorer,
-    fit_bpr_mf,
-    fit_itemknn,
-    itemknn_scorer,
-    popularity_scorer,
-)
-from .checkpoint import (
-    BprMfCheckpoint,
-    SpectralCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .baselines import bpr_mf_scorer, fit_bpr_mf, popularity_scorer
+from .checkpoint import SpectralCheckpoint, load_checkpoint, save_checkpoint
 from .data import (
     InteractionSet,
     RawColumns,

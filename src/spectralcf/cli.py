@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data, evaluation, graph, model, training
-from .checkpoint import (
-    BprMfCheckpoint,
-    SpectralCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import SpectralCheckpoint, load_checkpoint, save_checkpoint
 from .errors import DimensionError, SpectralCFError
 
 OUT_DIR_ENV = "SPECTRALCF_OUT_DIR"
@@ -166,17 +161,27 @@ def _basis_cache_path(cache_dir: Path, train_file: Path, normalization: str) -> 
     return cache_dir / f"{digest}_{normalization}.spcf"
 
 
-def _build_kernel(split_dir: Path, g, kernel_flag: str, normalization: str,
-                  cache_dir: Path):
+def _kernel_options(args, cfg) -> tuple[str, str]:
+    """The kernel form and normalization, checked before any file is read."""
+    flag = str(_resolve(args, cfg, "kernel"))
+    form, normalization = flag.replace("-", "_"), str(_resolve(args, cfg, "normalization"))
+    if form not in (graph.KERNEL_CLOSED_SPARSE, graph.KERNEL_DENSE_EIG):
+        raise ValueError(f"unknown kernel form: {flag!r}")
+    graph.check_normalization(normalization)
+    if form == graph.KERNEL_CLOSED_SPARSE and normalization != graph.NORM_SYM:
+        raise ValueError(f"the closed-sparse kernel needs normalization {graph.NORM_SYM!r}, "
+                         f"not {normalization!r}")
+    return form, normalization
+
+
+def _build_kernel(args, train_set, form: str, normalization: str):
     """Build the propagation kernel, caching the eigensystem for dense-eig."""
-    form = kernel_flag.replace("-", "_")
+    g = graph.build_graph(train_set)
     if form == graph.KERNEL_CLOSED_SPARSE:
         return graph.conv_kernel(g, None, form)
-    # A bad form is rejected before the eigendecomposition and its cache file.
-    if form != graph.KERNEL_DENSE_EIG:
-        raise ValueError(f"unknown kernel form: {kernel_flag!r}")
+    cache_dir = _out_dir(args) / "basis_cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache = _basis_cache_path(cache_dir, split_dir / "train.tsv", normalization)
+    cache = _basis_cache_path(cache_dir, Path(args.split_dir) / "train.tsv", normalization)
     if cache.exists():
         basis = graph.load_basis(cache)
     else:
@@ -187,6 +192,7 @@ def _build_kernel(split_dir: Path, g, kernel_flag: str, normalization: str,
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
+    form, normalization = _kernel_options(args, cfg)
     train_set = data.load_train(args.split_dir)
 
     which = str(_resolve(args, cfg, "model"))
@@ -203,8 +209,7 @@ def cmd_train(args) -> int:
         reg_scope=str(_resolve(args, cfg, "reg_scope")),
     )
 
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    _out_dir(args).mkdir(parents=True, exist_ok=True)
     ckpt_path = _out_path(args, args.checkpoint)
     log_path = _out_path(args, args.loss_log)
 
@@ -215,23 +220,18 @@ def cmd_train(args) -> int:
             F=_resolve(args, cfg, "F"),
             seed=seed,
         )
-        kernel = _build_kernel(
-            Path(args.split_dir), graph.build_graph(train_set),
-            str(_resolve(args, cfg, "kernel")),
-            str(_resolve(args, cfg, "normalization")), out / "basis_cache",
-        )
+        kernel = _build_kernel(args, train_set, form, normalization)
         params, history = training.train(train_set, kernel, mc, tc)
-        payload = SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon)
     elif which == "bpr-mf":
-        mf, history = baselines.fit_bpr_mf(
-            train_set, _resolve(args, cfg, "d"), tc, init_seed=seed,
-        )
-        payload = BprMfCheckpoint(mf, tc.rms_decay, tc.rms_epsilon)
+        # BPR-MF is the K = 0 model, with input width d; it needs no graph.
+        d = _resolve(args, cfg, "d")
+        params, history = baselines.fit_bpr_mf(train_set, d, tc, init_seed=seed)
+        mc = model.ModelConfig(K=0, C=d)
     else:
         raise ValueError(f"unknown model: {which!r}")
 
     # Both files are replaced only once training has succeeded, each atomically.
-    save_checkpoint(payload, ckpt_path)
+    save_checkpoint(SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon), ckpt_path)
     with data.atomic_open(log_path, "w", encoding="utf-8") as fh:
         for epoch, loss in enumerate(history, start=1):
             fh.write(f"{epoch}\t{loss:.10f}\n")
@@ -247,45 +247,30 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _scorer_from_checkpoint(ckpt, train_set, args, cfg):
-    """Turn a loaded checkpoint into a scorer for ``evaluation.block_scores``."""
-    if isinstance(ckpt, SpectralCheckpoint):
-        if (ckpt.params.n_users != train_set.n_users
-                or ckpt.params.n_items != train_set.n_items):
-            raise DimensionError(
-                f"checkpoint is for {ckpt.params.n_users} users x "
-                f"{ckpt.params.n_items} items, split has {train_set.n_users} x "
-                f"{train_set.n_items}"
-            )
-        g = graph.build_graph(train_set)
-        kernel = _build_kernel(
-            Path(args.split_dir), g, str(_resolve(args, cfg, "kernel")),
-            str(_resolve(args, cfg, "normalization")),
-            _out_dir(args) / "basis_cache",
+def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set, args, form: str,
+                            normalization: str) -> model.FactorTable:
+    """The checkpoint's factors over ``train_set``: the one scorer type of
+    ``evaluate`` and ``recommend``. At K = 0 no graph or kernel is built."""
+    params = ckpt.params
+    if (params.n_users, params.n_items) != (train_set.n_users, train_set.n_items):
+        raise DimensionError(
+            f"checkpoint is for {params.n_users} users x {params.n_items} items, "
+            f"split has {train_set.n_users} x {train_set.n_items}"
         )
-        factors, _ = model.forward(ckpt.params, kernel, ckpt.config)
-        return factors
-    if isinstance(ckpt, BprMfCheckpoint):
-        if (ckpt.model.P_u.shape[0] != train_set.n_users
-                or ckpt.model.Q_i.shape[0] != train_set.n_items):
-            raise DimensionError(
-                f"checkpoint is for {ckpt.model.P_u.shape[0]} users x "
-                f"{ckpt.model.Q_i.shape[0]} items, split has "
-                f"{train_set.n_users} x {train_set.n_items}"
-            )
-        return model.FactorTable(V_u=ckpt.model.P_u, V_i=ckpt.model.Q_i)
-    raise TypeError(f"cannot score with {type(ckpt).__name__}")
+    kernel = _build_kernel(args, train_set, form, normalization) if ckpt.config.K else None
+    return model.forward(params, kernel, ckpt.config)[0]
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
+    kernel_options = _kernel_options(args, cfg)
     split = data.load_split(args.split_dir)
     ckpt = load_checkpoint(args.checkpoint)
-    scorer = _scorer_from_checkpoint(ckpt, split.train, args, cfg)
+    factors = _scorer_from_checkpoint(ckpt, split.train, args, *kernel_options)
 
     cutoffs = [int(tok) for tok in str(_resolve(args, cfg, "cutoffs")).split(",") if tok]
     denom = str(_resolve(args, cfg, "map_denom"))
-    report = evaluation.evaluate(scorer, split, cutoffs, map_denom=denom)
+    report = evaluation.evaluate(factors, split, cutoffs, map_denom=denom)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,16 +297,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_recommend(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
+    kernel_options = _kernel_options(args, cfg)
     train_set = data.load_train(args.split_dir)
     ckpt = load_checkpoint(args.checkpoint)
-    scorer = _scorer_from_checkpoint(ckpt, train_set, args, cfg)
+    factors = _scorer_from_checkpoint(ckpt, train_set, args, *kernel_options)
 
     try:
         u = train_set.user_ids.index(args.user)
     except ValueError:
         raise ValueError(f"unknown user id: {args.user!r}") from None
 
-    scores = evaluation.block_scores(scorer, np.array([u]), train_set.n_items)[0]
+    scores = (factors.V_u[[u]] @ factors.V_i.T)[0]
     exclude = train_set.items_of(u) if args.exclude_seen else np.empty(0, dtype=np.int64)
     for i in model.top_m(scores, exclude, _resolve(args, cfg, "M")):
         print(f"{train_set.item_ids[i]}\t{scores[i]:.10f}")

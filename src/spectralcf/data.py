@@ -441,6 +441,25 @@ def atomic_open(path, mode="wb", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
+def read_exact(fh, n: int, path) -> bytes:
+    """The next ``n`` bytes of a binary file; a short read raises ValueError
+    naming ``path``."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated file")
+    return buf
+
+
+def check_size(fh, expected: int, path) -> None:
+    """Raise ValueError naming ``path`` unless the open file is ``expected``
+    bytes long, so a header is checked against the data before it is read."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < expected:
+        raise ValueError(f"{path}: truncated file ({size} of {expected} bytes)")
+    if size > expected:
+        raise ValueError(f"{path}: {size - expected} trailing bytes after the last array")
+
+
 def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
     """Write every payload to its temporary file before moving any of them
     into place, so a failed write leaves all the previous files intact."""

@@ -55,35 +55,17 @@ def map_at_m(ranked, relevant: set, M: int, denom: str = MAP_DENOM_TRUNCATED) ->
     return precision_sum / denominator
 
 
-def block_scores(scorer, users: np.ndarray, n_items: int) -> np.ndarray:
-    """Scores of every item for each of ``users``, one row per user.
-
-    ``scorer`` is a FactorTable, scored with one ``V_u[users] @ V_i^T``
-    product, or a callable mapping a user index to a score vector over all
-    items, whose rows are stacked.
-    """
-    if isinstance(scorer, FactorTable):
-        return scorer.V_u[users] @ scorer.V_i.T
-    rows = np.empty((len(users), n_items))
-    for b, u in enumerate(users.tolist()):
-        scores = np.asarray(scorer(u), dtype=np.float64)
-        if scores.shape != (n_items,):
-            raise ValueError(f"scorer returned shape {scores.shape}, expected ({n_items},)")
-        rows[b] = scores
-    return rows
-
-
-def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
+def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: bool = False,
              map_denom: str = MAP_DENOM_TRUNCATED) -> EvalReport:
     """Rank every item (training items excluded) for each evaluable user.
 
-    ``scorer`` is a FactorTable or a callable mapping a user index to a
-    score vector over all items. Users with empty test sets are skipped and
-    counted separately. Evaluable users are scored and ranked
-    ``BLOCK_ROWS`` at a time (:func:`model.top_m_rows`), so memory grows
-    with BLOCK_ROWS x n_items, not with the number of users; Recall@M and
-    AP@M come from cumulative sums over rank positions, and per-user values
-    are summed in ascending user order, as a loop over users would.
+    Users with empty test sets are skipped and counted separately.
+    Evaluable users are scored ``BLOCK_ROWS`` at a time, with one
+    ``V_u[block] @ V_i^T`` product, and ranked by :func:`model.top_m_rows`,
+    so memory grows with BLOCK_ROWS x n_items, not with the number of users;
+    Recall@M and AP@M come from cumulative sums over rank positions, and
+    per-user values are summed in ascending user order, as a loop over users
+    would.
     """
     cutoffs = sorted(int(m) for m in cutoffs)
     if not cutoffs or cutoffs[0] < 1:
@@ -98,8 +80,8 @@ def evaluate(scorer, split: SplitPair, cutoffs, keep_per_user: bool = False,
     ap = np.empty_like(recall)
     for lo in range(0, len(users), BLOCK_ROWS):
         block = users[lo:lo + BLOCK_ROWS]
-        ranked = top_m_rows(block_scores(scorer, block, train.n_items),
-                            seen[block].toarray(), cutoffs[-1])
+        ranked = top_m_rows(factors.V_u[block] @ factors.V_i.T, seen[block].toarray(),
+                            cutoffs[-1])
         hit = np.take_along_axis(relevant[block].toarray(), ranked, axis=1) & (ranked >= 0)
         hits = np.cumsum(hit, axis=1)
         # precision@k summed over the hit ranks k, in rank order

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet, atomic_open
+from .data import InteractionSet, atomic_open, check_size, read_exact
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
 
 NORM_SYM = "sym_orthonormal"
@@ -129,6 +129,11 @@ def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray):
     return values[order], vectors[:, order]
 
 
+def check_normalization(normalization: str) -> None:
+    if normalization not in _NORM_TAGS:
+        raise ValueError(f"unknown normalization: {normalization!r}")
+
+
 def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> SpectralBasis:
     """Full eigensystem of the normalized Laplacian.
 
@@ -137,26 +142,23 @@ def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> Spec
     I - D^{-1} A (unit 2-norm columns, no orthogonality). Eigenvalues are
     identical in the two cases and sorted ascending, ties broken by column
     lexicographic order after making each column's first nonzero entry
-    positive. Residuals above 1e-8 raise NumericError.
+    positive. Residuals above 1e-8 raise NumericError. An unknown
+    normalization raises ValueError before the Laplacian is built.
     """
+    check_normalization(normalization)
     L = sym_laplacian_dense(graph)
     values, vectors = np.linalg.eigh(L)
     residual = np.abs(L @ vectors - vectors * values[None, :]).max()
     if residual > _EIG_RESIDUAL_TOL:
         raise NumericError(f"eigensolver residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL}")
-    if normalization == NORM_SYM:
-        vectors = _canonical_sign(vectors)
-        values, vectors = _tie_break_degenerate(values, vectors)
-        return SpectralBasis(values, vectors, NORM_SYM)
     if normalization == NORM_RW:
         # L_rw = D^{-1/2} L_sym D^{1/2}: same spectrum, rescaled eigenvectors.
         d_inv_sqrt = 1.0 / np.sqrt(graph.degree.astype(np.float64))
         vectors = d_inv_sqrt[:, None] * vectors
         vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-        vectors = _canonical_sign(vectors)
-        values, vectors = _tie_break_degenerate(values, vectors)
-        return SpectralBasis(values, vectors, NORM_RW)
-    raise ValueError(f"unknown normalization: {normalization!r}")
+    vectors = _canonical_sign(vectors)
+    values, vectors = _tie_break_degenerate(values, vectors)
+    return SpectralBasis(values, vectors, normalization)
 
 
 def _check_signal(basis: SpectralBasis, signal: np.ndarray, name: str) -> np.ndarray:
@@ -275,13 +277,12 @@ def load_basis(path) -> SpectralBasis:
         magic = fh.read(4)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"{path}: not a basis cache file")
-        version, n, tag = struct.unpack("<IQB", fh.read(13))
+        version, n, tag = struct.unpack("<IQB", read_exact(fh, 13, path))
         if version != _CACHE_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
         if tag not in _TAGS_NORM:
             raise ValueError(f"{path}: unknown normalization tag {tag}")
+        check_size(fh, fh.tell() + 8 * (n + n * n), path)
         values = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
         vectors = np.frombuffer(fh.read(8 * n * n), dtype="<f8").copy().reshape(n, n)
-        if len(values) != n or vectors.size != n * n:
-            raise ValueError(f"{path}: truncated cache file")
     return SpectralBasis(values, vectors, _TAGS_NORM[tag])

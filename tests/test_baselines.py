@@ -2,119 +2,41 @@ import numpy as np
 import pytest
 
 from spectralcf import baselines, training
-from spectralcf.baselines import BprMfModel
 from spectralcf.model import FactorTable, ModelConfig, ModelParams, forward
 
 from conftest import make_interactions, random_interactions
 
 
-def dense_cosine_oracle(train):
-    """Item-item cosine over 0/1 interaction columns, diagonal zeroed."""
-    R = np.zeros((train.n_users, train.n_items))
-    for u in range(train.n_users):
-        R[u, train.items_of(u)] = 1.0
-    sim = np.zeros((train.n_items, train.n_items))
-    for i in range(train.n_items):
-        for j in range(train.n_items):
-            if i == j:
-                continue
-            num = float(R[:, i] @ R[:, j])
-            den = np.linalg.norm(R[:, i]) * np.linalg.norm(R[:, j])
-            sim[i, j] = num / den
-    return sim
-
-
-class TestItemKnn:
-    def test_full_similarity_matches_dense_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            ds = random_interactions(rng, max_users=7, max_items=9, density=0.4)
-            model = baselines.fit_itemknn(ds, k_neighbors=ds.n_items)
-            got = model.similarity.toarray()
-            want = dense_cosine_oracle(ds)
-            assert np.allclose(got, want, atol=1e-12)
-
-    def test_topk_truncation(self):
-        rng = np.random.default_rng(1)
-        ds = random_interactions(rng, max_users=10, max_items=12, density=0.5,
-                                 min_users=6, min_items=8)
-        k = 3
-        model = baselines.fit_itemknn(ds, k_neighbors=k)
-        sim = model.similarity.toarray()
-        kept = model.neighbor_sim.toarray()
-        for i in range(ds.n_items):
-            row = sim[i]
-            nz = np.nonzero(kept[i])[0]
-            assert len(nz) <= k
-            # Kept entries carry the original values and are all positive.
-            assert np.allclose(kept[i, nz], row[nz])
-            assert (kept[i, nz] > 0).all()
-            # No discarded entry may beat the smallest kept one.
-            if len(nz) == k:
-                dropped = np.setdiff1d(np.arange(ds.n_items), nz)
-                dropped = dropped[dropped != i]
-                if len(dropped):
-                    assert row[dropped].max() <= kept[i, nz].min() + 1e-12
-
-    def test_tie_break_keeps_lowest_index(self):
-        # Items 1 and 2 have identical columns, so sim(0,1) == sim(0,2);
-        # with k=1 the retained neighbor of item 0 must be item 1.
-        ds = make_interactions(3, 3, {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0)})
-        model = baselines.fit_itemknn(ds, k_neighbors=1)
-        kept = model.neighbor_sim.toarray()
-        assert kept[0, 1] > 0
-        assert kept[0, 2] == 0
-
-    def test_scoring_sums_neighbor_similarities(self):
-        rng = np.random.default_rng(2)
-        ds = random_interactions(rng, max_users=6, max_items=8, density=0.4)
-        model = baselines.fit_itemknn(ds, k_neighbors=4)
-        kept = model.neighbor_sim.toarray()
-        scorer = baselines.itemknn_scorer(model, ds)
-        for u in range(ds.n_users):
-            vec = scorer(u)
-            for i in range(ds.n_items):
-                want = kept[i, ds.items_of(u)].sum()
-                assert baselines.score_itemknn(model, ds, u, i) == pytest.approx(want)
-                assert vec[i] == pytest.approx(want)
-
-    def test_k_validation(self):
-        ds = make_interactions(2, 2, {(0, 0), (1, 1)})
-        with pytest.raises(ValueError):
-            baselines.fit_itemknn(ds, k_neighbors=0)
-
-
 class TestPopularity:
     def test_counts(self, toy_set):
-        scorer = baselines.popularity_scorer(toy_set)
-        counts = scorer(0)
-        assert counts.tolist() == [3.0, 1.0, 1.0, 2.0]
-        # Identical for every user.
-        assert np.array_equal(scorer(1), counts)
+        table = baselines.popularity_scorer(toy_set)
+        assert isinstance(table, FactorTable)
+        assert np.array_equal(table.V_u, np.ones((toy_set.n_users, 1)))
+        assert table.V_i[:, 0].tolist() == [3.0, 1.0, 1.0, 2.0]
+        # Every user's scores are exactly the counts.
+        scores = table.V_u @ table.V_i.T
+        assert all(row.tolist() == [3.0, 1.0, 1.0, 2.0] for row in scores)
 
 
-def mf_loss(model, batch, reg):
+def mf_loss(params, batch, reg):
     """The pairwise loss of BPR-MF: the spectral loss at K = 0."""
-    return training.bpr_loss(FactorTable(V_u=model.P_u, V_i=model.Q_i), batch, reg)
+    return training.bpr_loss(baselines.bpr_mf_scorer(params), batch, reg)
 
 
-def mf_gradients(model, batch, reg):
-    params = ModelParams(X_u0=model.P_u, X_i0=model.Q_i, thetas=[])
-    cfg = ModelConfig(K=0, C=model.d)
+def mf_gradients(params, batch, reg):
+    cfg = ModelConfig(K=0, C=params.X_u0.shape[1])
     _, trace = forward(params, None, cfg)
     grads = training.backward(params, None, cfg, batch, reg, trace)
     return grads.X_u0, grads.X_i0
 
 
-def flatten_mf(model):
-    return np.concatenate([model.P_u.ravel(), model.Q_i.ravel()])
+def flatten_mf(params):
+    return np.concatenate([params.X_u0.ravel(), params.X_i0.ravel()])
 
 
 def unflatten_mf(vec, like):
-    n = like.P_u.size
-    P = vec[:n].reshape(like.P_u.shape)
-    Q = vec[n:].reshape(like.Q_i.shape)
-    return BprMfModel(P, Q)
+    n = like.X_u0.size
+    return ModelParams(vec[:n].reshape(like.X_u0.shape), vec[n:].reshape(like.X_i0.shape), [])
 
 
 class TestBprMf:
@@ -123,35 +45,36 @@ class TestBprMf:
                                  min_users=3, min_items=4)
         d = int(rng.integers(2, 5))
         init = np.random.default_rng(int(rng.integers(1000)))
-        model = BprMfModel(
-            P_u=init.normal(0.01, 0.02, size=(ds.n_users, d)),
-            Q_i=init.normal(0.01, 0.02, size=(ds.n_items, d)),
+        params = ModelParams(
+            X_u0=init.normal(0.01, 0.02, size=(ds.n_users, d)),
+            X_i0=init.normal(0.01, 0.02, size=(ds.n_items, d)),
+            thetas=[],
         )
         batch = training.sample_batch(ds, int(rng.integers(3, 9)), rng)
-        return ds, model, batch
+        return ds, params, batch
 
     def test_loss_matches_naive_loop(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            _, model, batch = self._instance(rng)
+            _, params, batch = self._instance(rng)
             reg = 1e-3
             want = 0.0
             for r, j, j_neg in zip(batch.r, batch.j, batch.j_neg):
-                diff = model.P_u[r] @ (model.Q_i[j] - model.Q_i[j_neg])
+                diff = params.X_u0[r] @ (params.X_i0[j] - params.X_i0[j_neg])
                 want += float(np.logaddexp(0.0, -diff))
-            want += reg * ((model.P_u ** 2).sum() + (model.Q_i ** 2).sum())
-            got = mf_loss(model, batch, reg)
+            want += reg * ((params.X_u0 ** 2).sum() + (params.X_i0 ** 2).sum())
+            got = mf_loss(params, batch, reg)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         step = 1e-5
         for trial in range(6):
-            _, model, batch = self._instance(rng)
+            _, params, batch = self._instance(rng)
             reg = 0.0 if trial % 2 == 0 else 1e-3
-            G_P, G_Q = mf_gradients(model, batch, reg)
+            G_P, G_Q = mf_gradients(params, batch, reg)
             got = np.concatenate([G_P.ravel(), G_Q.ravel()])
-            flat = flatten_mf(model)
+            flat = flatten_mf(params)
             fd = np.zeros_like(flat)
             for idx in range(len(flat)):
                 up = flat.copy()
@@ -159,8 +82,8 @@ class TestBprMf:
                 dn = flat.copy()
                 dn[idx] -= step
                 fd[idx] = (
-                    mf_loss(unflatten_mf(up, model), batch, reg)
-                    - mf_loss(unflatten_mf(dn, model), batch, reg)
+                    mf_loss(unflatten_mf(up, params), batch, reg)
+                    - mf_loss(unflatten_mf(dn, params), batch, reg)
                 ) / (2 * step)
             denom = np.maximum(np.abs(fd), 1e-6)
             assert (np.abs(got - fd) / denom).max() < 1e-4
@@ -174,8 +97,9 @@ class TestBprMf:
         m1, h1 = baselines.fit_bpr_mf(ds, 3, cfg, init_seed=1)
         m2, h2 = baselines.fit_bpr_mf(ds, 3, cfg, init_seed=1)
         assert h1 == h2
-        assert np.array_equal(m1.P_u, m2.P_u)
-        assert np.array_equal(m1.Q_i, m2.Q_i)
+        assert m1.thetas == [] and m1.X_u0.shape == (ds.n_users, 3)
+        assert np.array_equal(m1.X_u0, m2.X_u0)
+        assert np.array_equal(m1.X_i0, m2.X_i0)
 
     def test_fit_reduces_loss(self):
         rng = np.random.default_rng(6)
@@ -195,11 +119,11 @@ class TestBprMf:
 
     def test_scorer_is_dot_product(self):
         rng = np.random.default_rng(7)
-        model = BprMfModel(P_u=rng.standard_normal((3, 4)),
-                           Q_i=rng.standard_normal((5, 4)))
-        scorer = baselines.bpr_mf_scorer(model)
-        for u in range(3):
-            assert np.allclose(scorer(u), model.Q_i @ model.P_u[u])
+        params = ModelParams(X_u0=rng.standard_normal((3, 4)),
+                             X_i0=rng.standard_normal((5, 4)), thetas=[])
+        table = baselines.bpr_mf_scorer(params)
+        # K = 0: the factors are the input embeddings, scored by inner product.
+        assert table.V_u is params.X_u0 and table.V_i is params.X_i0
 
 
 class TestSharedSampler:

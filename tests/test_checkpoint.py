@@ -1,14 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
-from spectralcf.baselines import BprMfModel
-from spectralcf.checkpoint import (
-    BprMfCheckpoint,
-    SpectralCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from spectralcf import cli, data
+from spectralcf.checkpoint import SpectralCheckpoint, load_checkpoint, save_checkpoint
 from spectralcf.model import ModelConfig, init_params
+
+from conftest import random_interactions
 
 
 @pytest.mark.parametrize("K", [0, 1, 3])
@@ -27,14 +26,56 @@ def test_spectral_round_trip_reads_k_filters(tmp_path, K):
     assert (back.rms_decay, back.rms_epsilon) == (0.8, 1e-7)
 
 
-def test_bpr_mf_round_trip(tmp_path):
+def test_legacy_bpr_mf_file_reads_as_zero_layer_model(tmp_path):
+    """A BPR-MF file of the older layout (tag 1) loads as the K = 0 model."""
     rng = np.random.default_rng(0)
-    mf = BprMfModel(P_u=rng.standard_normal((4, 3)), Q_i=rng.standard_normal((5, 3)))
+    P, Q = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
     path = tmp_path / "bpr.spck"
-    save_checkpoint(BprMfCheckpoint(mf), path)
+    # magic, version, tag 1, then d, n_users, n_items, decay, epsilon, P, Q
+    header = struct.pack("<IB", 1, 1) + struct.pack("<IQQdd", 3, 4, 5, 0.8, 1e-7)
+    path.write_bytes(b"SPCK" + header + P.astype("<f8").tobytes() + Q.astype("<f8").tobytes())
     back = load_checkpoint(path)
-    assert isinstance(back, BprMfCheckpoint)
-    assert np.array_equal(back.model.P_u, mf.P_u)
-    assert np.array_equal(back.model.Q_i, mf.Q_i)
-    # magic, version, tag, then d, n_users, n_items, decay, epsilon, arrays
-    assert path.stat().st_size == 4 + 5 + 36 + 8 * (4 + 5) * 3
+    assert isinstance(back, SpectralCheckpoint)
+    assert back.config == ModelConfig(K=0, C=3)
+    assert back.params.thetas == []
+    assert np.array_equal(back.params.X_u0, P)
+    assert np.array_equal(back.params.X_i0, Q)
+    assert (back.rms_decay, back.rms_epsilon) == (0.8, 1e-7)
+
+
+def test_cli_trained_bpr_mf_writes_the_spectral_tag(tmp_path, capsys):
+    ds = random_interactions(np.random.default_rng(1), min_users=4, min_items=4)
+    data.save_split(data.split_standard(ds, 0.7, rng_seed=0), tmp_path / "split")
+    code = cli.main(["train", "--split-dir", str(tmp_path / "split"), "--model", "bpr-mf",
+                     "--d", "3", "--epochs", "2", "--batch-size", "4",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    raw = (tmp_path / "model.spck").read_bytes()
+    assert struct.unpack_from("<IB", raw, 4) == (1, 0)
+    K, C, _, n_users, n_items = struct.unpack_from("<IIIQQ", raw, 9)
+    assert (K, C, n_users, n_items) == (0, 3, ds.n_users, ds.n_items)
+    assert len(raw) == 4 + 5 + 44 + 8 * (n_users + n_items) * 3
+    assert load_checkpoint(tmp_path / "model.spck").config == ModelConfig(K=0, C=3)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    cfg = ModelConfig(K=2, C=3, F=2)
+    path = tmp_path / "model.spck"
+    save_checkpoint(SpectralCheckpoint(init_params(cfg, 4, 5), cfg), path)
+    return path
+
+
+@pytest.mark.parametrize("size", [7, 9, 30, 53, -8])
+def test_truncated_file_names_it(saved, size):
+    saved.write_bytes(saved.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated") as info:
+        load_checkpoint(saved)
+    assert str(saved) in str(info.value)
+
+
+def test_trailing_bytes_rejected(saved):
+    saved.write_bytes(saved.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="8 trailing bytes") as info:
+        load_checkpoint(saved)
+    assert str(saved) in str(info.value)

@@ -104,6 +104,39 @@ class TestSplit:
         assert hashlib.sha256((out / "train.tsv").read_bytes()).hexdigest() == train_sha
         assert hashlib.sha256((out / "test.tsv").read_bytes()).hexdigest() == test_sha
 
+    @pytest.mark.parametrize("model_argv, report_sha, recommend_sha", [
+        (["-K", "2", "-C", "4", "-F", "4"],
+         "73d21596ba823ade9f204f94c07868719d23cb331530100af38622bf90ac2c18",
+         "64645d6c858e1350c963f15a5ac704c150bbaa871bd5e3c3b26c3b03553552e8"),
+        (["--model", "bpr-mf", "--d", "12"],
+         "0db9db81b7839f4fffa691b797ca3c8748b2e9be29234e254e21e5209e90e43a",
+         "f7ea4aae3bec76bc75ee8aa0e86dfe8f4b1e61550e1101827a80ed3696f32ec1"),
+    ], ids=["spectralcf", "bpr-mf"])
+    def test_model_outputs_pinned(self, tmp_path, capsys, model_argv, report_sha,
+                                  recommend_sha):
+        """Report metrics and recommend output of a fixed input and seed keep
+        their bytes (the report's header lines hold paths, so they are left out)."""
+        raw = write_movielens(tmp_path / "ratings.dat")
+        split, out = tmp_path / "split", tmp_path / "run"
+        steps = [
+            ["split", "--input", str(raw), "--format", "movielens-dat", "--seed", "5",
+             "--out-dir", str(split), "--protocol", "standard", "--fraction", "0.8"],
+            ["train", "--split-dir", str(split), "--out-dir", str(out), *model_argv,
+             "--epochs", "20", "--batch-size", "64", "--lr", "0.01", "--seed", "0"],
+            ["evaluate", "--split-dir", str(split), "--checkpoint", str(out / "model.spck"),
+             "--cutoffs", "1,5,20", "--out-dir", str(out)],
+            ["recommend", "--split-dir", str(split), "--checkpoint", str(out / "model.spck"),
+             "--user", "3", "-M", "10", "--out-dir", str(out)],
+        ]
+        for argv in steps:
+            code, stdout, err = run(capsys, argv)
+            assert code == 0, err
+        body = [ln for ln in (out / "report.tsv").read_text().splitlines(True)
+                if not ln.startswith("#")]
+        assert hashlib.sha256("".join(body).encode()).hexdigest() == report_sha
+        assert len(stdout.splitlines()) == 10
+        assert hashlib.sha256(stdout.encode()).hexdigest() == recommend_sha
+
     def test_cold_start_protocol(self, tmp_path, capsys):
         raw = write_raw(tmp_path / "raw.tsv", np.random.default_rng(2))
         code, out, err = run(capsys, [
@@ -316,7 +349,7 @@ class TestTrainEvaluateRecommend:
         ])
         assert code == 0, err
         ckpt = load_checkpoint(out_dir / "model.spck")
-        ckpt.model.Q_i[1, 0] = np.nan
+        ckpt.params.X_i0[1, 0] = np.nan
         save_checkpoint(ckpt, out_dir / "model.spck")
         code, out, err = run(capsys, [
             "recommend", "--split-dir", str(split_dir),
@@ -358,6 +391,133 @@ class TestTrainEvaluateRecommend:
         assert "unknown kernel form" in err
         cache = out_dir / "basis_cache"
         assert not cache.exists() or not any(cache.iterdir())
+
+
+class TestKernelOptions:
+    """The kernel form and normalization are checked before any work."""
+
+    def _train(self, capsys, split_dir, out_dir, *extra):
+        return run(capsys, [
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+            "-K", "2", "-C", "4", "-F", "4", "--epochs", "3", "--batch-size", "8", *extra,
+        ])
+
+    @pytest.mark.parametrize("option", ["flag", "config"])
+    def test_closed_sparse_rejects_other_normalizations(self, workspace, capsys, option):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "norm"
+        if option == "flag":
+            extra = ("--normalization", "rw_raw")
+        else:
+            (tmp_path / "train.cfg").write_text("normalization=sym_typo\n")
+            extra = ("--config", str(tmp_path / "train.cfg"))
+        code, _, err = self._train(capsys, split_dir, out_dir, *extra)
+        assert code == 1
+        assert "normalization" in err and ("closed-sparse" in err or "sym_typo" in err)
+        assert not (out_dir / "model.spck").exists()
+
+    def test_dense_eig_rejects_unknown_normalization_before_eigendecomposition(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "typo"
+
+        def no_laplacian(*args, **kwargs):
+            raise AssertionError("Laplacian built for an unknown normalization")
+
+        monkeypatch.setattr(cli.graph, "sym_laplacian_dense", no_laplacian)
+        (tmp_path / "train.cfg").write_text("normalization=sym_typo\n")
+        code, _, err = self._train(capsys, split_dir, out_dir, "--kernel", "dense-eig",
+                                   "--config", str(tmp_path / "train.cfg"))
+        assert code == 1
+        assert "unknown normalization: 'sym_typo'" in err
+        assert not (out_dir / "basis_cache").exists()
+
+    def test_evaluate_rejects_normalization_the_kernel_ignores(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "eval"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        code, _, err = run(capsys, [
+            "evaluate", "--split-dir", str(split_dir), "--checkpoint",
+            str(out_dir / "model.spck"), "--normalization", "rw_raw", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "closed-sparse" in err
+        assert not (out_dir / "report.tsv").exists()
+
+    def test_spectral_embed_rejects_unknown_normalization_before_laplacian(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+
+        def no_laplacian(*args, **kwargs):
+            raise AssertionError("Laplacian built for an unknown normalization")
+
+        monkeypatch.setattr(cli.graph, "sym_laplacian_dense", no_laplacian)
+        (tmp_path / "embed.cfg").write_text("normalization=sym_typo\n")
+        code, _, err = run(capsys, [
+            "spectral-embed", "--split-dir", str(split_dir), "--config",
+            str(tmp_path / "embed.cfg"), "--out-dir", str(tmp_path / "embed"),
+        ])
+        assert code == 1
+        assert "unknown normalization: 'sym_typo'" in err
+
+    def test_bpr_mf_evaluated_with_dense_eig_needs_no_eigendecomposition(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "mf"
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--model", "bpr-mf", "--d", "4",
+            "--epochs", "3", "--batch-size", "8", "--out-dir", str(out_dir),
+        ])
+        assert code == 0, err
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a K = 0 model built the graph")
+
+        monkeypatch.setattr(cli.graph, "build_graph", no_graph)
+        for command in ("evaluate", "recommend"):
+            argv = [command, "--split-dir", str(split_dir), "--checkpoint",
+                    str(out_dir / "model.spck"), "--kernel", "dense-eig", "--out-dir", str(out_dir)]
+            code, _, err = run(capsys, argv + (["--user", "u0"] if command == "recommend" else []))
+            assert code == 0, err
+        assert not (out_dir / "basis_cache").exists()
+
+
+class TestCorruptFiles:
+    def test_corrupt_checkpoint_fails_with_an_error_line(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "corrupt"
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+            "-K", "1", "-C", "2", "-F", "2", "--epochs", "2", "--batch-size", "8",
+        ])
+        assert code == 0, err
+        ckpt = out_dir / "model.spck"
+        good = ckpt.read_bytes()
+        for blob, message in [(good[:7], "truncated"), (good + b"junkjunk", "trailing")]:
+            ckpt.write_bytes(blob)
+            code, out, err = run(capsys, [
+                "evaluate", "--split-dir", str(split_dir), "--checkpoint", str(ckpt),
+                "--out-dir", str(out_dir),
+            ])
+            assert code == 1
+            assert err.startswith("error:") and str(ckpt) in err and message in err
+            assert "Traceback" not in err
+            assert not (out_dir / "report.tsv").exists()
+
+    def test_corrupt_basis_cache_fails_with_an_error_line(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "cache"
+        argv = ["train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+                "--kernel", "dense-eig", "-K", "1", "-C", "2", "-F", "2", "--epochs", "2",
+                "--batch-size", "8"]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        (cache,) = (out_dir / "basis_cache").glob("*.spcf")
+        cache.write_bytes(cache.read_bytes() + b"\0" * 8)
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:") and str(cache) in err and "trailing" in err
 
 
 class TestConfigPrecedence:

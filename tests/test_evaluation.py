@@ -25,6 +25,12 @@ def map_oracle(ranked, relevant, M, denom=MAP_DENOM_TRUNCATED):
     return total / len(relevant)
 
 
+def score_table(table):
+    """A table of scores (users x items) as a FactorTable: ``table @ I`` is
+    exact for finite scores, and a NaN or inf still makes its row non-finite."""
+    return model.FactorTable(V_u=table, V_i=np.eye(table.shape[1]))
+
+
 def naive_rows(score_fn, split, cutoffs, denom=MAP_DENOM_TRUNCATED):
     """Plain-python per-user metrics, in the layout of ``EvalReport.per_user``."""
     train = split.train
@@ -118,10 +124,9 @@ class TestEvaluate:
             split = self._random_split(rng)
             n_items = split.train.n_items
             table = rng.standard_normal((split.train.n_users, n_items))
-            scorer = lambda u: table[u]
             cutoffs = [1, 3, 5]
-            report = evaluation.evaluate(scorer, split, cutoffs)
-            recall_ref, map_ref, n_ref = naive_evaluate(scorer, split, cutoffs)
+            report = evaluation.evaluate(score_table(table), split, cutoffs)
+            recall_ref, map_ref, n_ref = naive_evaluate(lambda u: table[u], split, cutoffs)
             assert report.n_evaluable_users == n_ref
             for m in cutoffs:
                 assert report.recall_at[m] == pytest.approx(recall_ref[m], abs=1e-12)
@@ -142,8 +147,8 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         split = self._random_split(rng)
         table = rng.standard_normal((split.train.n_users, split.train.n_items))
-        a = evaluation.evaluate(lambda u: table[u], split, [2, 4])
-        b = evaluation.evaluate(lambda u: np.exp(table[u] * 3), split, [2, 4])
+        a = evaluation.evaluate(score_table(table), split, [2, 4])
+        b = evaluation.evaluate(score_table(np.exp(table * 3)), split, [2, 4])
         assert a.recall_at == b.recall_at
         assert a.map_at == b.map_at
 
@@ -152,7 +157,7 @@ class TestEvaluate:
         split = data.split_standard(ds, 0.7, rng_seed=0)
         # User 1 has a single interaction, so it stays in train only.
         report = evaluation.evaluate(
-            lambda u: np.zeros(split.train.n_items), split, [2]
+            score_table(np.zeros((split.train.n_users, split.train.n_items))), split, [2]
         )
         assert report.n_evaluable_users + report.n_skipped_users == 2
         assert report.n_skipped_users >= 1
@@ -161,13 +166,7 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         split = self._random_split(rng)
         n_items = split.train.n_items
-
-        def oracle(u):
-            scores = np.zeros(n_items)
-            for i in split.test.items_of(u):
-                scores[i] = 1.0
-            return scores
-
+        oracle = score_table(split.test.to_csr().toarray().astype(float))
         big_m = n_items
         report = evaluation.evaluate(oracle, split, [big_m])
         assert report.recall_at[big_m] == pytest.approx(1.0)
@@ -178,7 +177,7 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         split = self._random_split(rng)
         table = rng.standard_normal((split.train.n_users, split.train.n_items))
-        report = evaluation.evaluate(lambda u: table[u], split, [2], keep_per_user=True)
+        report = evaluation.evaluate(score_table(table), split, [2], keep_per_user=True)
         assert len(report.per_user) == report.n_evaluable_users
         for row in report.per_user:
             assert "recall@2" in row and "map@2" in row
@@ -199,14 +198,14 @@ class TestBlockwiseEvaluate:
             n_items = split.train.n_items
             # Few distinct integer scores force ties inside every ranking.
             table = rng.integers(0, 3, size=(split.train.n_users, n_items)).astype(float)
-            scorer = lambda u: table[u]
+            scorer = lambda u: table[u]  # the oracle's view of the same scores
             # The last cutoff exceeds every user's candidate count.
             cutoffs = [1, 2, 5, n_items + 2]
             block_rows = int(rng.integers(1, 5))
             monkeypatch.setattr(evaluation, "BLOCK_ROWS", block_rows)
             for denom in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
-                report = evaluation.evaluate(scorer, split, cutoffs, keep_per_user=True,
-                                             map_denom=denom)
+                report = evaluation.evaluate(score_table(table), split, cutoffs,
+                                             keep_per_user=True, map_denom=denom)
                 assert report.n_evaluable_users > block_rows  # crosses a block boundary
                 recall_ref, map_ref, n_ref = naive_evaluate(scorer, split, cutoffs, denom)
                 assert report.n_evaluable_users == n_ref
@@ -215,6 +214,8 @@ class TestBlockwiseEvaluate:
                 assert report.per_user == naive_rows(scorer, split, cutoffs, denom)
 
     def test_factor_table_matches_callable_and_block_size(self, monkeypatch):
+        """Narrow factors against their product as a score table (what a
+        per-user callable used to return), over several block sizes."""
         rng = np.random.default_rng(12)
         split = self._split(rng)
         f = model.FactorTable(
@@ -222,7 +223,7 @@ class TestBlockwiseEvaluate:
             V_i=rng.integers(-2, 3, size=(split.train.n_items, 3)).astype(float),
         )
         cutoffs = [1, 4, 30]
-        ref = evaluation.evaluate(lambda u: f.V_i @ f.V_u[u], split, cutoffs,
+        ref = evaluation.evaluate(score_table(f.V_u @ f.V_i.T), split, cutoffs,
                                   keep_per_user=True)
         for block_rows in (1, 2, 7, 512):
             monkeypatch.setattr(evaluation, "BLOCK_ROWS", block_rows)
@@ -240,20 +241,16 @@ class TestBlockwiseEvaluate:
             with pytest.raises(NumericError):
                 evaluation.evaluate(f, split, [3])
         table = rng.standard_normal((split.train.n_users, split.train.n_items))
-        table[user, 0] = np.nan
-        with pytest.raises(NumericError):
-            evaluation.evaluate(lambda u: table[u], split, [3])
+        for bad in (np.nan, np.inf):
+            table[user, 0] = bad
+            with pytest.raises(NumericError):
+                evaluation.evaluate(score_table(table), split, [3])
 
     def test_unknown_map_denom_rejected(self):
         split = self._split(np.random.default_rng(14))
-        scorer = lambda u: np.zeros(split.train.n_items)
+        scores = score_table(np.zeros((split.train.n_users, split.train.n_items)))
         with pytest.raises(ValueError, match="map_denom"):
-            evaluation.evaluate(scorer, split, [3], map_denom="relevent")
-
-    def test_scorer_shape_checked(self):
-        split = self._split(np.random.default_rng(15))
-        with pytest.raises(ValueError, match="shape"):
-            evaluation.evaluate(lambda u: np.zeros(split.train.n_items + 1), split, [3])
+            evaluation.evaluate(scores, split, [3], map_denom="relevent")
 
 
 class TestReportFile:

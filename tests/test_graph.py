@@ -376,3 +376,14 @@ class TestBasisPersistence:
         assert raw[:4] == b"SPCF"
         with pytest.raises(ValueError):
             graph.load_basis(__file__)
+
+    def test_short_or_padded_file_names_it(self, tmp_path, toy_set):
+        path = tmp_path / "b.spcf"
+        graph.save_basis(graph.eigendecompose(graph.build_graph(toy_set)), path)
+        raw = path.read_bytes()
+        for blob, match in [(raw[:7], "truncated"), (raw[:17], "truncated"),
+                            (raw[:-8], "truncated"), (raw + b"\0" * 8, "8 trailing bytes")]:
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match=match) as info:
+                graph.load_basis(path)
+            assert str(path) in str(info.value)
