@@ -7,7 +7,8 @@ the K = 0 model and is written the same way. Round-trips are bit-exact.
 
 Older BPR-MF files carry tag 1 (u32 d, u64 n_users, n_items, f64 decay,
 epsilon, then the user and item tables); they are read as K = 0 models.
-A short or over-long file raises ValueError naming it.
+A short or over-long file, or a header with C or F of 0, raises ValueError
+naming it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def save_checkpoint(ckpt: SpectralCheckpoint, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _header_config(path: Path, **fields) -> ModelConfig:
+    try:
+        return ModelConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from exc
+
+
 def load_checkpoint(path) -> SpectralCheckpoint:
     """Read a checkpoint; a legacy BPR-MF file comes back as the K = 0 model."""
     path = Path(path)
@@ -61,10 +69,10 @@ def load_checkpoint(path) -> SpectralCheckpoint:
         if tag == TYPE_SPECTRAL:
             K, C, F, n_users, n_items, decay, eps = struct.unpack(
                 "<IIIQQdd", read_exact(fh, 44, path))
-            config = ModelConfig(K=K, C=C, F=F)
+            config = _header_config(path, K=K, C=C, F=F)
         elif tag == TYPE_LEGACY_BPR_MF:
             C, n_users, n_items, decay, eps = struct.unpack("<IQQdd", read_exact(fh, 36, path))
-            config = ModelConfig(K=0, C=C)
+            config = _header_config(path, K=0, C=C)
         else:
             raise ValueError(f"{path}: unknown model-type tag {tag}")
         shapes = [(n_users, C), (n_items, C)]

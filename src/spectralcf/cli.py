@@ -330,8 +330,8 @@ def cmd_spectral_embed(args) -> int:
         raise ValueError("one of --split-dir or --input is required")
 
     g = graph.build_graph(dataset)
-    basis = graph.eigendecompose(g, str(_resolve(args, cfg, "normalization")))
-    coords = graph.spectral_coordinates(basis, _resolve(args, cfg, "k"))
+    coords = graph.spectral_coordinates(g, _resolve(args, cfg, "k"),
+                                        str(_resolve(args, cfg, "normalization")))
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)

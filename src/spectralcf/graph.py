@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .data import InteractionSet, atomic_open, check_size, read_exact
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
@@ -28,7 +30,7 @@ KERNEL_CLOSED_SPARSE = "closed_sparse"
 
 _EIG_RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-9
-_ZERO_TOL = 1e-8  # eigenvalues below it count as zero (one per component)
+_RESIDUAL_BLOCK = 256  # columns per step of the dense residual, to bound its scratch
 
 _CACHE_MAGIC = b"SPCF"
 _CACHE_VERSION = 1
@@ -98,9 +100,13 @@ def _sym_normalized_adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
 
 
 def sym_laplacian_dense(graph: BipartiteGraph) -> np.ndarray:
-    A_norm = _sym_normalized_adjacency(graph).toarray()
-    L = np.eye(graph.n_vertices) - A_norm
-    return (L + L.T) / 2.0
+    """I - D^{-1/2} A D^{-1/2} as a dense array, symmetrized, built in one buffer."""
+    L = _sym_normalized_adjacency(graph).toarray()
+    np.negative(L, out=L)
+    L.flat[:: graph.n_vertices + 1] += 1.0
+    L += L.T
+    L *= 0.5
+    return L
 
 
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
@@ -129,6 +135,21 @@ def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray):
     return values[order], vectors[:, order]
 
 
+def _check_residual(residual: float) -> None:
+    if residual > _EIG_RESIDUAL_TOL:
+        raise NumericError(f"eigensolver residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL}")
+
+
+def _to_normalization(graph: BipartiteGraph, vectors: np.ndarray, normalization: str):
+    """Eigenvectors of L_sym as those of ``normalization``, sign made canonical."""
+    if normalization == NORM_RW:
+        # L_rw = D^{-1/2} L_sym D^{1/2}: same spectrum, rescaled eigenvectors.
+        d_inv_sqrt = 1.0 / np.sqrt(graph.degree.astype(np.float64))
+        vectors = d_inv_sqrt[:, None] * vectors
+        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    return _canonical_sign(vectors)
+
+
 def check_normalization(normalization: str) -> None:
     if normalization not in _NORM_TAGS:
         raise ValueError(f"unknown normalization: {normalization!r}")
@@ -148,15 +169,14 @@ def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> Spec
     check_normalization(normalization)
     L = sym_laplacian_dense(graph)
     values, vectors = np.linalg.eigh(L)
-    residual = np.abs(L @ vectors - vectors * values[None, :]).max()
-    if residual > _EIG_RESIDUAL_TOL:
-        raise NumericError(f"eigensolver residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL}")
-    if normalization == NORM_RW:
-        # L_rw = D^{-1/2} L_sym D^{1/2}: same spectrum, rescaled eigenvectors.
-        d_inv_sqrt = 1.0 / np.sqrt(graph.degree.astype(np.float64))
-        vectors = d_inv_sqrt[:, None] * vectors
-        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    vectors = _canonical_sign(vectors)
+    scratch = L @ vectors
+    del L
+    for start in range(0, len(values), _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        scratch[:, cols] -= vectors[:, cols] * values[cols]
+    _check_residual(np.abs(scratch, out=scratch).max())
+    del scratch
+    vectors = _to_normalization(graph, vectors, normalization)
     values, vectors = _tie_break_degenerate(values, vectors)
     return SpectralBasis(values, vectors, normalization)
 
@@ -238,7 +258,7 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
         if basis is None:
             raise ValueError("dense_eig form requires a basis")
         U = basis.eigenvectors
-        K = U @ U.T + (U * basis.eigenvalues[None, :]) @ U.T
+        K = (U * (1.0 + basis.eigenvalues)) @ U.T
         return ConvKernel(KERNEL_DENSE_EIG, K)
     if form == KERNEL_CLOSED_SPARSE:
         if basis is not None and basis.normalization != NORM_SYM:
@@ -249,16 +269,67 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
     raise ValueError(f"unknown kernel form: {form!r}")
 
 
-def spectral_coordinates(basis: SpectralBasis, k: int) -> np.ndarray:
-    """Vertex coordinates from the k eigenvectors after the zero-eigenvalue ones.
+def _top_pairs(block: sp.csr_matrix, count: int):
+    """The ``count`` largest eigenpairs of a symmetric block, largest first.
 
-    The zero eigenvalue repeats once per connected component and its
-    eigenvectors only indicate components, so all of them are skipped.
+    Blocks of up to max(64, 4 * count) vertices use dense ``eigh``; larger
+    ones Lanczos from a seeded random start vector, so the output is
+    deterministic. A constant start vector would not do: it is invariant
+    under every automorphism of the graph, so its Krylov space misses each
+    eigenvector that is antisymmetric under one (two equal chains hanging
+    off the same vertex carry such a low frequency).
     """
-    n_zero = int((basis.eigenvalues < _ZERO_TOL).sum())
-    if not (1 <= k <= basis.n_vertices - n_zero):
-        raise DimensionError(f"k={k} out of range [1, {basis.n_vertices - n_zero}]")
-    return basis.eigenvectors[:, n_zero : n_zero + k].copy()
+    m = block.shape[0]
+    if m <= max(64, 4 * count):
+        mu, vectors = np.linalg.eigh(block.toarray())
+        return mu[::-1][:count], vectors[:, ::-1][:, :count]
+    v0 = np.random.default_rng(0).standard_normal(m)
+    try:
+        mu, vectors = eigsh(block, count, which="LA", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"eigsh did not converge on a {m}-vertex component: {exc}") from exc
+    return mu[::-1], vectors[:, ::-1]
+
+
+def spectral_coordinates(graph: BipartiteGraph, k: int,
+                         normalization: str = NORM_SYM) -> np.ndarray:
+    """Vertex coordinates from the k smallest nonzero Laplacian eigenvalues.
+
+    Every connected component contributes one eigenvalue 0, whose eigenvector
+    only marks the component, and the spectrum of the graph is the union of
+    its components' spectra. So each component is solved on its own for the
+    top k + 1 eigenpairs of its block of D^{-1/2} A D^{-1/2} (eigenvalue mu,
+    Laplacian eigenvalue 1 - mu), its top pair (mu = 1) is dropped, and the k
+    smallest Laplacian eigenvalues of the pool are kept, ties in component
+    order. Memory is O(nk) plus the small dense blocks. Columns are unit
+    eigenvectors of I - D^{-1/2} A D^{-1/2}, rescaled for ``rw_raw`` as in
+    ``eigendecompose``, first nonzero entry positive. Residuals above 1e-8
+    raise NumericError; an unknown normalization raises ValueError first.
+    """
+    check_normalization(normalization)
+    A_norm = _sym_normalized_adjacency(graph)
+    n = graph.n_vertices
+    n_comp, label = connected_components(A_norm, directed=False)
+    if not (1 <= k <= n - n_comp):
+        raise DimensionError(f"k={k} out of range [1, {n - n_comp}]")
+
+    # Components as contiguous diagonal blocks, vertices ascending in each.
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(n_comp + 1))
+    blocks = A_norm[order][:, order]
+    pool = []  # (Laplacian eigenvalue, vertices, eigenvector), component by component
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        mu, U = _top_pairs(blocks[start:stop, start:stop], k + 1)
+        pool += [(1.0 - mu[j], order[start:stop], U[:, j]) for j in range(1, len(mu))]
+    chosen = sorted(pool, key=lambda pair: pair[0])[:k]  # stable: ties keep component order
+
+    lam = np.array([value for value, _, _ in chosen])
+    coords = np.zeros((n, k))
+    for j, (_, vertices, u) in enumerate(chosen):
+        coords[vertices, j] = u
+    residual = coords - A_norm @ coords - coords * lam
+    _check_residual(np.abs(residual).max())
+    return _to_normalization(graph, coords, normalization)
 
 
 def save_basis(basis: SpectralBasis, path) -> None:

@@ -79,3 +79,14 @@ def test_trailing_bytes_rejected(saved):
     with pytest.raises(ValueError, match="8 trailing bytes") as info:
         load_checkpoint(saved)
     assert str(saved) in str(info.value)
+
+
+def test_zero_width_header_names_it(tmp_path):
+    # magic, version, tag 0, then K = 1, C = 0, F = 2, n_users, n_items, decay, epsilon
+    path = tmp_path / "model.spck"
+    path.write_bytes(b"SPCK" + struct.pack("<IB", 1, 0)
+                     + struct.pack("<IIIQQdd", 1, 0, 2, 4, 5, 0.9, 1e-8))
+    assert len(path.read_bytes()) == 53
+    with pytest.raises(ValueError, match="C and F >= 1") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)

@@ -600,6 +600,21 @@ class TestSpectralEmbed:
         ])
         assert code == 0, err
 
+    def test_solves_without_the_full_eigensystem(self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+
+        def dense(*args, **kwargs):
+            raise AssertionError("spectral-embed built a dense n x n eigensystem")
+
+        monkeypatch.setattr(cli.graph, "eigendecompose", dense)
+        monkeypatch.setattr(cli.graph, "sym_laplacian_dense", dense)
+        code, _, err = run(capsys, [
+            "spectral-embed", "--split-dir", str(split_dir), "-k", "2",
+            "--out-dir", str(tmp_path / "embed"),
+        ])
+        assert code == 0, err
+        assert (tmp_path / "embed" / "coordinates.tsv").exists()
+
     def test_requires_a_source(self, tmp_path, capsys):
         code, _, err = run(capsys, [
             "spectral-embed", "--out-dir", str(tmp_path)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
+from scipy.sparse.csgraph import connected_components
 
 from spectralcf import graph
 from spectralcf.errors import DegenerateInterpolationError, DimensionError
@@ -10,7 +12,7 @@ from spectralcf.graph import (
     NORM_SYM,
 )
 
-from conftest import make_interactions, random_interactions
+from conftest import make_interactions, random_interactions, two_community_dataset
 
 
 def union_find_components(n_users, n_items, pairs):
@@ -313,34 +315,34 @@ class TestConvKernel:
 
 class TestSpectralCoordinates:
     def test_shapes_and_orthonormality(self, toy_set):
-        basis = graph.eigendecompose(graph.build_graph(toy_set))
-        coords = graph.spectral_coordinates(basis, 2)
+        coords = graph.spectral_coordinates(graph.build_graph(toy_set), 2)
         assert coords.shape == (7, 2)
         assert np.allclose(coords.T @ coords, np.eye(2), atol=1e-10)
 
     def test_skips_trivial_eigenvector(self, toy_set):
-        basis = graph.eigendecompose(graph.build_graph(toy_set))
-        coords = graph.spectral_coordinates(basis, 3)
-        assert np.array_equal(coords, basis.eigenvectors[:, 1:4])
+        g = graph.build_graph(toy_set)
+        basis = graph.eigendecompose(g)
+        coords = graph.spectral_coordinates(g, 3)
+        want = basis.eigenvectors[:, 1:4]
+        signs = np.sign(np.einsum("ij,ij->j", coords, want))
+        assert np.abs(coords - want * signs).max() <= 1e-10
 
     def test_skips_every_component_indicator(self):
         # Two components: a 2x2 biclique and a path u3-i3-u4-i4.
         ds = make_interactions(4, 4, {(0, 0), (0, 1), (1, 0), (1, 1),
                                       (2, 2), (3, 2), (3, 3)})
         g = graph.build_graph(ds)
-        basis = graph.eigendecompose(g)
-        coords = graph.spectral_coordinates(basis, 2)
+        coords = graph.spectral_coordinates(g, 2)
         L = graph.sym_laplacian_dense(g)
         rayleigh = np.einsum("ij,ij->j", coords, L @ coords)
         assert (rayleigh > 1e-6).all()
         with pytest.raises(DimensionError):
-            graph.spectral_coordinates(basis, 7)
+            graph.spectral_coordinates(g, 7)
 
     def test_toy_graph_vertex_affinity(self, toy_set):
         # In the 2-coordinate frequency plot, i4 sits closer to u1 than the
         # items u1 never co-interacted around (i2, i3).
-        basis = graph.eigendecompose(graph.build_graph(toy_set))
-        coords = graph.spectral_coordinates(basis, 2)
+        coords = graph.spectral_coordinates(graph.build_graph(toy_set), 2)
         u1 = coords[0]
         d = {name: np.linalg.norm(coords[3 + idx] - u1) for idx, name in
              enumerate(["i1", "i2", "i3", "i4"])}
@@ -348,11 +350,140 @@ class TestSpectralCoordinates:
         assert d["i4"] < d["i3"]
 
     def test_k_out_of_range(self, toy_set):
-        basis = graph.eigendecompose(graph.build_graph(toy_set))
+        g = graph.build_graph(toy_set)
         with pytest.raises(DimensionError):
-            graph.spectral_coordinates(basis, 7)
+            graph.spectral_coordinates(g, 7)
         with pytest.raises(DimensionError):
-            graph.spectral_coordinates(basis, 0)
+            graph.spectral_coordinates(g, 0)
+
+
+def disjoint_union(rng, blocks):
+    """The blocks' interactions as separate components of one set, with user
+    and item indices shuffled so that the components interleave."""
+    pairs, n_u, n_i = [], 0, 0
+    for block in blocks:
+        R = block.to_csr().tocoo()
+        pairs += [(n_u + int(u), n_i + int(i)) for u, i in zip(R.row, R.col)]
+        n_u, n_i = n_u + block.n_users, n_i + block.n_items
+    pu, pi = rng.permutation(n_u), rng.permutation(n_i)
+    return make_interactions(n_u, n_i, {(int(pu[u]), int(pi[i])) for u, i in pairs})
+
+
+def dense_laplacian(g, normalization):
+    """I - D^-1/2 A D^-1/2, or I - D^-1 A for rw_raw, from the definition."""
+    A = g.adjacency.toarray().astype(np.float64)
+    d = g.degree.astype(np.float64)
+    if normalization == NORM_SYM:
+        return np.eye(g.n_vertices) - A / np.sqrt(np.outer(d, d))
+    return np.eye(g.n_vertices) - A / d[:, None]
+
+
+def assert_matches_full_eigensystem(g, k, normalization):
+    """The k columns are unit eigenvectors of the Laplacian for the k smallest
+    nonzero eigenvalues of the full eigensystem, and span its eigenspaces: all
+    of those below the k-th eigenvalue, and a part of the k-th one's."""
+    coords = graph.spectral_coordinates(g, k, normalization)
+    basis = graph.eigendecompose(g, normalization)
+    nonzero = basis.eigenvalues > 1e-8
+    want = basis.eigenvalues[nonzero][:k]
+    L = dense_laplacian(g, normalization)
+    assert coords.shape == (g.n_vertices, k)
+    assert np.allclose(np.linalg.norm(coords, axis=0), 1.0, atol=1e-10)
+    if normalization == NORM_SYM:
+        assert np.abs(coords.T @ coords - np.eye(k)).max() <= 1e-10
+    lam = np.einsum("ij,ij->j", coords, L @ coords)
+    assert np.abs(lam - want).max() <= 1e-10
+    assert np.abs(L @ coords - coords * lam).max() <= 1e-8
+    inner = basis.eigenvectors[:, nonzero & (basis.eigenvalues < want[-1] - 1e-8)]
+    outer = basis.eigenvectors[:, nonzero & (basis.eigenvalues <= want[-1] + 1e-8)]
+    if inner.shape[1]:
+        assert np.max(subspace_angles(coords, inner)) <= 1e-6
+    assert np.max(subspace_angles(outer, coords)) <= 1e-6
+
+
+class TestPartialSolver:
+    """spectral_coordinates against the full eigensystem of eigendecompose."""
+
+    ISLANDS = [make_interactions(1, 2, {(0, 0), (0, 1)}),
+               make_interactions(2, 1, {(0, 0), (1, 0)})]
+
+    @pytest.mark.parametrize("normalization", [NORM_SYM, NORM_RW])
+    def test_random_multi_component_graphs(self, normalization):
+        rng = np.random.default_rng(30)
+        for trial in range(6):
+            twin = random_interactions(rng)
+            blocks = [two_community_dataset(trial, n_users=50, n_items=40),
+                      random_interactions(rng), twin, twin, *self.ISLANDS,
+                      make_interactions(1, 1, {(0, 0)})]
+            g = graph.build_graph(disjoint_union(rng, blocks))
+            k_max = g.n_vertices - connected_components(g.adjacency)[0]
+            for k in (1, 2, 3, 7, int(rng.integers(8, k_max)), k_max):
+                assert_matches_full_eigensystem(g, k, normalization)
+
+    @pytest.mark.parametrize("normalization", [NORM_SYM, NORM_RW])
+    def test_k_reaching_into_the_unit_cluster(self, normalization):
+        # 10 users and 100 items: at most 10 eigenvalues below 1, then 1
+        # repeated; k = 12 and 20 solve the 110-vertex block with eigsh.
+        rng = np.random.default_rng(31)
+        pairs = {(u, i) for u in range(10) for i in range(100) if rng.random() < 0.15}
+        pairs |= {(int(rng.integers(10)), i) for i in range(100)}
+        pairs |= {(u, u) for u in range(10)} | {(u + 1, u) for u in range(9)}
+        hub = make_interactions(10, 100, pairs)
+        g = graph.build_graph(disjoint_union(rng, [hub, *self.ISLANDS]))
+        for k in (9, 12, 20, 40, g.n_vertices - 3):
+            assert_matches_full_eigensystem(g, k, normalization)
+
+    def test_components_smaller_than_k_plus_one(self):
+        rng = np.random.default_rng(32)
+        edge = make_interactions(1, 1, {(0, 0)})
+        g = graph.build_graph(disjoint_union(rng, [edge, edge, *self.ISLANDS]))
+        for k in range(1, g.n_vertices - 4 + 1):
+            assert_matches_full_eigensystem(g, k, NORM_SYM)
+        with pytest.raises(DimensionError):
+            graph.spectral_coordinates(g, g.n_vertices - 4 + 1)
+
+    def test_finds_frequencies_antisymmetric_under_an_automorphism(self):
+        # Two equal 20-vertex chains hang off item 0 of a random core. The
+        # lowest frequencies live on the chains, one of them odd under the
+        # swap of the chains, which a constant start vector cannot reach.
+        rng = np.random.default_rng(33)
+        core = {(u, int(i)) for u in range(60)
+                for i in rng.choice(40, size=int(rng.integers(3, 10)), replace=False)}
+        core |= {(int(rng.integers(60)), i) for i in range(40)}
+        pairs, u, i = set(core), 60, 40
+        for _ in range(2):
+            prev = 0
+            for _ in range(10):
+                pairs |= {(u, prev), (u, i)}
+                prev, u, i = i, u + 1, i + 1
+        g = graph.build_graph(make_interactions(u, i, pairs))
+        assert_matches_full_eigensystem(g, 4, NORM_SYM)
+
+    def test_dense_solves_stay_small_on_a_large_graph(self, monkeypatch):
+        # 6k vertices: a sparse random giant plus 3-vertex islands. Dense eigh
+        # may only see components of up to max(64, 4 (k + 1)) vertices.
+        rng = np.random.default_rng(34)
+        n_users, n_items, k = 3000, 2900, 2
+        users = np.repeat(np.arange(n_users), 8)
+        items = rng.integers(n_items, size=len(users))
+        pairs = set(zip(users.tolist(), items.tolist()))
+        pairs |= {(int(rng.integers(n_users)), i) for i in range(n_items)}
+        for island in range(30):
+            pairs |= {(n_users + island, n_items + 2 * island),
+                      (n_users + island, n_items + 2 * island + 1)}
+        g = graph.build_graph(make_interactions(n_users + 30, n_items + 60, pairs))
+        assert g.n_vertices >= 5000
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        coords = graph.spectral_coordinates(g, k)
+        assert seen and max(seen) <= max(64, 4 * (k + 1))
+        assert coords.shape == (g.n_vertices, k)
 
 
 class TestBasisPersistence:
