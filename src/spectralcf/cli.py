@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``split``, ``train``, ``evaluate``, ``recommend`` and
-``spectral-embed``. Hyper-parameter precedence is flags, then an optional
-flat key=value config file, then built-in defaults. The environment
-variable ``SPECTRALCF_OUT_DIR``, when set, overrides the output directory
-of every command.
+``spectral-embed``. Every setting is a row of ``OPTIONS``; its precedence is
+flag, then an optional flat key=value config file, then the row's default.
+The environment variable ``SPECTRALCF_OUT_DIR``, when set, overrides the
+output directory of every command.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,53 +24,92 @@ from .errors import DimensionError, SpectralCFError
 
 OUT_DIR_ENV = "SPECTRALCF_OUT_DIR"
 
-# Default hyper-parameters; CLI flags and the config file both override them.
-DEFAULTS = {
-    "format": "tsv",
-    "protocol": "standard",
-    "fraction": 0.8,
-    "p": 1,
-    "min_interactions": 1,
-    "seed": 0,
-    "model": "spectralcf",
-    "kernel": "closed-sparse",
-    "K": 3,
-    "C": 16,
-    "F": 16,
-    "d": 16,
-    "reg": 1e-3,
-    "batch_size": 1024,
-    "epochs": 200,
-    "lr": 1e-3,
-    "rms_decay": 0.9,
-    "rms_epsilon": 1e-8,
-    "steps_per_epoch": 1,
-    "reg_scope": training.REG_FULL,
-    "cutoffs": "20,40,60,80,100",
-    "map_denom": evaluation.MAP_DENOM_TRUNCATED,
-    "M": 20,
-    "k": 2,
-    "normalization": graph.NORM_SYM,
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated ints; empty items are skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok)
+
+
+class Option(NamedTuple):
+    """One setting, read the same way from its flag and from a config file.
+
+    A value of an option with ``choices`` matches a choice with ``-`` and
+    ``_`` taken as the same character, and resolves to the choice as spelled
+    here, which is the spelling the package uses. For such an option ``help``
+    is a noun: errors name the option by it.
+    """
+
+    flag: str
+    type: Callable = str
+    default: object = None
+    choices: tuple = ()
+    help: str = ""
+
+    def parse(self, text: str):
+        if self.choices:
+            for choice in self.choices:
+                if choice.replace("-", "_") == text.replace("-", "_"):
+                    return choice
+            raise argparse.ArgumentTypeError(
+                f"unknown {self.help}: {text!r} (choose from {', '.join(self.choices)})")
+        try:
+            return self.type(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a valid {self.type.__name__}") from None
+
+
+# Every setting a flag or a config key can give; the key is the config key.
+OPTIONS = {
+    "seed": Option("--seed", int, 0, help="RNG seed"),
+    "format": Option("--format", default="tsv", choices=("movielens_dat", "tsv"),
+                     help="input format"),
+    "protocol": Option("--protocol", default="standard", choices=("standard", "cold-start"),
+                       help="split protocol"),
+    "fraction": Option("--fraction", float, 0.8,
+                       help="train fraction for the standard protocol"),
+    "p": Option("--p", int, 1, help="train items per user for cold-start"),
+    "min_interactions": Option("--min-interactions", int, 1,
+                               help="drop users with fewer interactions before splitting"),
+    "model": Option("--model", default="spectralcf", choices=("spectralcf", "bpr-mf"),
+                    help="model"),
+    "kernel": Option("--kernel", default=graph.KERNEL_CLOSED_SPARSE,
+                     choices=(graph.KERNEL_CLOSED_SPARSE, graph.KERNEL_DENSE_EIG),
+                     help="kernel form"),
+    "normalization": Option("--normalization", default=graph.NORM_SYM,
+                            choices=(graph.NORM_SYM, graph.NORM_RW), help="normalization"),
+    "K": Option("-K", int, 3, help="number of propagation layers"),
+    "C": Option("-C", int, 16, help="input factor width"),
+    "F": Option("-F", int, 16, help="per-layer factor width"),
+    "d": Option("--d", int, 16, help="latent dimension of the bpr-mf baseline"),
+    "reg": Option("--reg", float, 1e-3, help="L2 regularization weight"),
+    "batch_size": Option("--batch-size", int, 1024, help="triples per training step"),
+    "epochs": Option("--epochs", int, 200, help="training epochs"),
+    "lr": Option("--lr", float, 1e-3, help="learning rate"),
+    "rms_decay": Option("--rms-decay", float, 0.9, help="RMSprop decay"),
+    "rms_epsilon": Option("--rms-epsilon", float, 1e-8, help="RMSprop epsilon"),
+    "steps_per_epoch": Option("--steps-per-epoch", int, 1, help="training steps per epoch"),
+    "reg_scope": Option("--reg-scope", default=training.REG_FULL,
+                        choices=(training.REG_FULL, training.REG_BATCH_ROWS),
+                        help="regularization scope"),
+    "cutoffs": Option("--cutoffs", int_list, (20, 40, 60, 80, 100),
+                      help="comma-separated list of M values"),
+    "map_denom": Option("--map-denom", default=evaluation.MAP_DENOM_TRUNCATED,
+                        choices=(evaluation.MAP_DENOM_TRUNCATED, evaluation.MAP_DENOM_RELEVANT),
+                        help="MAP denominator"),
+    "M": Option("-M", int, 20, help="list length"),
+    "k": Option("-k", int, 2, help="number of coordinates per vertex"),
 }
 
-_CASTS = {
-    "fraction": float,
-    "p": int,
-    "min_interactions": int,
-    "seed": int,
-    "K": int,
-    "C": int,
-    "F": int,
-    "d": int,
-    "reg": float,
-    "batch_size": int,
-    "epochs": int,
-    "lr": float,
-    "rms_decay": float,
-    "rms_epsilon": float,
-    "steps_per_epoch": int,
-    "M": int,
-    "k": int,
+# The options each command takes, by OPTIONS key.
+COMMAND_OPTIONS = {
+    "split": ("seed", "format", "protocol", "fraction", "p", "min_interactions"),
+    "train": ("seed", "model", "kernel", "normalization", "K", "C", "F", "d", "reg",
+              "batch_size", "epochs", "lr", "rms_decay", "rms_epsilon", "steps_per_epoch",
+              "reg_scope"),
+    "evaluate": ("seed", "kernel", "normalization", "cutoffs", "map_denom"),
+    "recommend": ("seed", "kernel", "normalization", "M"),
+    "spectral-embed": ("seed", "format", "normalization", "k"),
 }
 
 
@@ -86,16 +126,6 @@ def load_config_file(path) -> dict:
             key, _, value = line.partition("=")
             cfg[key.strip()] = value.strip()
     return cfg
-
-
-def _resolve(args, cfg: dict, key: str):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return _CASTS.get(key, str)(cfg[key])
-    return DEFAULTS[key]
 
 
 def _out_dir(args) -> Path:
@@ -122,22 +152,14 @@ def _print_err(message: str) -> None:
 
 
 def cmd_split(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
-    fmt = str(_resolve(args, cfg, "format")).replace("-", "_")
-    protocol = str(_resolve(args, cfg, "protocol"))
-    seed = _resolve(args, cfg, "seed")
-    min_inter = _resolve(args, cfg, "min_interactions")
-
     with open(args.input, "rb") as fh:
-        columns = data.parse_interactions(fh, fmt)
-    dataset = data.to_implicit(columns, min_user_interactions=min_inter)
+        columns = data.parse_interactions(fh, args.format)
+    dataset = data.to_implicit(columns, min_user_interactions=args.min_interactions)
 
-    if protocol == "standard":
-        split = data.split_standard(dataset, float(_resolve(args, cfg, "fraction")), seed)
-    elif protocol == "cold-start":
-        split = data.split_cold_start(dataset, int(_resolve(args, cfg, "p")), seed)
+    if args.protocol == "standard":
+        split = data.split_standard(dataset, args.fraction, args.seed)
     else:
-        raise ValueError(f"unknown protocol: {protocol!r}")
+        split = data.split_cold_start(dataset, args.p, args.seed)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,81 +183,54 @@ def _basis_cache_path(cache_dir: Path, train_file: Path, normalization: str) -> 
     return cache_dir / f"{digest}_{normalization}.spcf"
 
 
-def _kernel_options(args, cfg) -> tuple[str, str]:
-    """The kernel form and normalization, checked before any file is read."""
-    flag = str(_resolve(args, cfg, "kernel"))
-    form, normalization = flag.replace("-", "_"), str(_resolve(args, cfg, "normalization"))
-    if form not in (graph.KERNEL_CLOSED_SPARSE, graph.KERNEL_DENSE_EIG):
-        raise ValueError(f"unknown kernel form: {flag!r}")
-    graph.check_normalization(normalization)
-    if form == graph.KERNEL_CLOSED_SPARSE and normalization != graph.NORM_SYM:
-        raise ValueError(f"the closed-sparse kernel needs normalization {graph.NORM_SYM!r}, "
-                         f"not {normalization!r}")
-    return form, normalization
-
-
-def _build_kernel(args, train_set, form: str, normalization: str):
+def _build_kernel(args, train_set):
     """Build the propagation kernel, caching the eigensystem for dense-eig."""
     g = graph.build_graph(train_set)
-    if form == graph.KERNEL_CLOSED_SPARSE:
-        return graph.conv_kernel(g, None, form)
+    if args.kernel == graph.KERNEL_CLOSED_SPARSE:
+        return graph.conv_kernel(g, None, args.kernel)
     cache_dir = _out_dir(args) / "basis_cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache = _basis_cache_path(cache_dir, Path(args.split_dir) / "train.tsv", normalization)
+    cache = _basis_cache_path(cache_dir, Path(args.split_dir) / "train.tsv", args.normalization)
     if cache.exists():
         basis = graph.load_basis(cache)
     else:
-        basis = graph.eigendecompose(g, normalization)
+        basis = graph.eigendecompose(g, args.normalization)
         graph.save_basis(basis, cache)
-    return graph.conv_kernel(g, basis, form)
+    return graph.conv_kernel(g, basis, args.kernel)
 
 
 def cmd_train(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
-    form, normalization = _kernel_options(args, cfg)
     train_set = data.load_train(args.split_dir)
-
-    which = str(_resolve(args, cfg, "model"))
-    seed = _resolve(args, cfg, "seed")
     tc = training.TrainConfig(
-        batch_size=_resolve(args, cfg, "batch_size"),
-        epochs=_resolve(args, cfg, "epochs"),
-        learning_rate=_resolve(args, cfg, "lr"),
-        reg=_resolve(args, cfg, "reg"),
-        rms_decay=_resolve(args, cfg, "rms_decay"),
-        rms_epsilon=_resolve(args, cfg, "rms_epsilon"),
-        seed=seed,
-        steps_per_epoch=_resolve(args, cfg, "steps_per_epoch"),
-        reg_scope=str(_resolve(args, cfg, "reg_scope")),
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        reg=args.reg,
+        rms_decay=args.rms_decay,
+        rms_epsilon=args.rms_epsilon,
+        seed=args.seed,
+        steps_per_epoch=args.steps_per_epoch,
+        reg_scope=args.reg_scope,
     )
 
     _out_dir(args).mkdir(parents=True, exist_ok=True)
     ckpt_path = _out_path(args, args.checkpoint)
     log_path = _out_path(args, args.loss_log)
 
-    if which == "spectralcf":
-        mc = model.ModelConfig(
-            K=_resolve(args, cfg, "K"),
-            C=_resolve(args, cfg, "C"),
-            F=_resolve(args, cfg, "F"),
-            seed=seed,
-        )
-        kernel = _build_kernel(args, train_set, form, normalization)
-        params, history = training.train(train_set, kernel, mc, tc)
-    elif which == "bpr-mf":
+    if args.model == "bpr-mf":
         # BPR-MF is the K = 0 model, with input width d; it needs no graph.
-        d = _resolve(args, cfg, "d")
-        params, history = baselines.fit_bpr_mf(train_set, d, tc, init_seed=seed)
-        mc = model.ModelConfig(K=0, C=d)
+        params, history = baselines.fit_bpr_mf(train_set, args.d, tc, init_seed=args.seed)
+        mc = model.ModelConfig(K=0, C=args.d)
     else:
-        raise ValueError(f"unknown model: {which!r}")
+        mc = model.ModelConfig(K=args.K, C=args.C, F=args.F, seed=args.seed)
+        params, history = training.train(train_set, _build_kernel(args, train_set), mc, tc)
 
     # Both files are replaced only once training has succeeded, each atomically.
     save_checkpoint(SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon), ckpt_path)
     with data.atomic_open(log_path, "w", encoding="utf-8") as fh:
         for epoch, loss in enumerate(history, start=1):
             fh.write(f"{epoch}\t{loss:.10f}\n")
-    print(f"model\t{which}")
+    print(f"model\t{args.model}")
     print(f"epochs\t{len(history)}")
     print(f"final_loss\t{history[-1]:.10f}")
     print(f"checkpoint\t{ckpt_path}")
@@ -247,8 +242,7 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set, args, form: str,
-                            normalization: str) -> model.FactorTable:
+def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set, args) -> model.FactorTable:
     """The checkpoint's factors over ``train_set``: the one scorer type of
     ``evaluate`` and ``recommend``. At K = 0 no graph or kernel is built."""
     params = ckpt.params
@@ -257,20 +251,14 @@ def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set, args, form: str
             f"checkpoint is for {params.n_users} users x {params.n_items} items, "
             f"split has {train_set.n_users} x {train_set.n_items}"
         )
-    kernel = _build_kernel(args, train_set, form, normalization) if ckpt.config.K else None
+    kernel = _build_kernel(args, train_set) if ckpt.config.K else None
     return model.forward(params, kernel, ckpt.config)[0]
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
-    kernel_options = _kernel_options(args, cfg)
     split = data.load_split(args.split_dir)
-    ckpt = load_checkpoint(args.checkpoint)
-    factors = _scorer_from_checkpoint(ckpt, split.train, args, *kernel_options)
-
-    cutoffs = [int(tok) for tok in str(_resolve(args, cfg, "cutoffs")).split(",") if tok]
-    denom = str(_resolve(args, cfg, "map_denom"))
-    report = evaluation.evaluate(factors, split, cutoffs, map_denom=denom)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), split.train, args)
+    report = evaluation.evaluate(factors, split, args.cutoffs, map_denom=args.map_denom)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,14 +266,14 @@ def cmd_evaluate(args) -> int:
     header = {
         "checkpoint": str(args.checkpoint),
         "split": str(args.split_dir),
-        "map_denom": denom,
+        "map_denom": args.map_denom,
         "n_evaluable_users": report.n_evaluable_users,
         "n_skipped_users": report.n_skipped_users,
     }
     evaluation.save_report(report, report_path, header)
 
     print("cutoff\trecall\tmap")
-    for m in cutoffs:
+    for m in args.cutoffs:
         print(f"{m}\t{report.recall_at[m]:.6f}\t{report.map_at[m]:.6f}")
     print(f"report\t{report_path}")
     return 0
@@ -296,11 +284,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
-    kernel_options = _kernel_options(args, cfg)
     train_set = data.load_train(args.split_dir)
-    ckpt = load_checkpoint(args.checkpoint)
-    factors = _scorer_from_checkpoint(ckpt, train_set, args, *kernel_options)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), train_set, args)
 
     try:
         u = train_set.user_ids.index(args.user)
@@ -309,7 +294,7 @@ def cmd_recommend(args) -> int:
 
     scores = (factors.V_u[[u]] @ factors.V_i.T)[0]
     exclude = train_set.items_of(u) if args.exclude_seen else np.empty(0, dtype=np.int64)
-    for i in model.top_m(scores, exclude, _resolve(args, cfg, "M")):
+    for i in model.top_m(scores, exclude, args.M):
         print(f"{train_set.item_ids[i]}\t{scores[i]:.10f}")
     return 0
 
@@ -319,19 +304,16 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_spectral_embed(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
+    if (args.split_dir is None) == (args.input is None):
+        raise ValueError("give exactly one of --split-dir or --input")
     if args.split_dir is not None:
         dataset = data.load_train(args.split_dir)
-    elif args.input is not None:
-        fmt = str(_resolve(args, cfg, "format")).replace("-", "_")
-        with open(args.input, "rb") as fh:
-            dataset = data.to_implicit(data.parse_interactions(fh, fmt))
     else:
-        raise ValueError("one of --split-dir or --input is required")
+        with open(args.input, "rb") as fh:
+            dataset = data.to_implicit(data.parse_interactions(fh, args.format))
 
     g = graph.build_graph(dataset)
-    coords = graph.spectral_coordinates(g, _resolve(args, cfg, "k"),
-                                        str(_resolve(args, cfg, "normalization")))
+    coords = graph.spectral_coordinates(g, args.k, args.normalization)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,87 +351,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out-dir", help=f"output directory (env {OUT_DIR_ENV} overrides)")
-        p.add_argument("--seed", type=int, help="RNG seed")
+        for key in COMMAND_OPTIONS[name]:
+            opt = OPTIONS[key]
+            p.add_argument(opt.flag, dest=key, type=opt.parse, choices=opt.choices or None,
+                           help=opt.help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("split", help="ingest interactions and write a train/test split")
-    add_common(p)
+    p = add_command("split", cmd_split, "ingest interactions and write a train/test split")
     p.add_argument("--input", required=True, help="raw interaction file")
-    p.add_argument("--format", choices=["movielens-dat", "tsv"])
-    p.add_argument("--protocol", choices=["standard", "cold-start"])
-    p.add_argument("--fraction", type=float, help="train fraction for the standard protocol")
-    p.add_argument("--p", type=int, help="train items per user for cold-start")
-    p.add_argument("--min-interactions", type=int, dest="min_interactions",
-                   help="drop users with fewer interactions before splitting")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a model on a saved split")
-    add_common(p)
+    p = add_command("train", cmd_train, "train a model on a saved split")
     p.add_argument("--split-dir", required=True, help="directory written by split")
-    p.add_argument("--model", choices=["spectralcf", "bpr-mf"])
-    p.add_argument("--kernel", choices=["closed-sparse", "dense-eig"])
-    p.add_argument("--normalization",
-                   choices=[graph.NORM_SYM, graph.NORM_RW])
-    p.add_argument("-K", type=int, dest="K", help="number of propagation layers")
-    p.add_argument("-C", type=int, dest="C", help="input factor width")
-    p.add_argument("-F", type=int, dest="F", help="per-layer factor width")
-    p.add_argument("--d", type=int, help="latent dimension of the bpr-mf baseline")
-    p.add_argument("--reg", type=float, help="L2 regularization weight")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--rms-decay", type=float, dest="rms_decay")
-    p.add_argument("--rms-epsilon", type=float, dest="rms_epsilon")
-    p.add_argument("--steps-per-epoch", type=int, dest="steps_per_epoch")
-    p.add_argument("--reg-scope", dest="reg_scope",
-                   choices=[training.REG_FULL, training.REG_BATCH_ROWS])
     p.add_argument("--checkpoint", default="model.spck", help="checkpoint file name")
     p.add_argument("--loss-log", default="loss.tsv", help="per-epoch loss file name")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint against held-out pairs")
-    add_common(p)
+    p = add_command("evaluate", cmd_evaluate, "score a checkpoint against held-out pairs")
     p.add_argument("--split-dir", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--kernel", choices=["closed-sparse", "dense-eig"])
-    p.add_argument("--normalization", choices=[graph.NORM_SYM, graph.NORM_RW])
-    p.add_argument("--cutoffs", help="comma-separated list of M values")
-    p.add_argument("--map-denom", dest="map_denom",
-                   choices=[evaluation.MAP_DENOM_TRUNCATED, evaluation.MAP_DENOM_RELEVANT])
     p.add_argument("--report", default="report.tsv", help="report file name")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("recommend", help="print top-M items for one user")
-    add_common(p)
+    p = add_command("recommend", cmd_recommend, "print top-M items for one user")
     p.add_argument("--split-dir", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--kernel", choices=["closed-sparse", "dense-eig"])
-    p.add_argument("--normalization", choices=[graph.NORM_SYM, graph.NORM_RW])
     p.add_argument("--user", required=True, help="external user id")
-    p.add_argument("-M", type=int, dest="M", help="list length")
     p.add_argument("--exclude-seen", type=_str2bool, default=True,
                    help="drop the user's training items from the list (default true)")
-    p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("spectral-embed", help="export low-frequency vertex coordinates")
-    add_common(p)
+    p = add_command("spectral-embed", cmd_spectral_embed,
+                    "export low-frequency vertex coordinates")
     p.add_argument("--split-dir", help="use the train half of a saved split")
     p.add_argument("--input", help="raw interaction file (alternative to --split-dir)")
-    p.add_argument("--format", choices=["movielens-dat", "tsv"])
-    p.add_argument("--normalization", choices=[graph.NORM_SYM, graph.NORM_RW])
-    p.add_argument("-k", type=int, dest="k", help="number of coordinates per vertex")
     p.add_argument("--output", default="coordinates.tsv", help="coordinates file name")
-    p.set_defaults(func=cmd_spectral_embed)
 
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv`` and resolve every option of its command into the result:
+    the flag, else the ``--config`` value, else the default.
+
+    Config values are read by the same ``Option.parse`` as flags, and are
+    checked even where a flag overrides them. Every config key must name an
+    option, of this command or another, so that one file can serve every
+    command. All of this happens before any data file is read.
+    """
+    args = build_parser().parse_args(argv)
+    cfg = load_config_file(args.config) if args.config else {}
+    for key in cfg:
+        if key not in OPTIONS:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
+    for key in COMMAND_OPTIONS[args.command]:
+        if key in cfg:
+            try:
+                value = OPTIONS[key].parse(cfg[key])
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
+        else:
+            value = OPTIONS[key].default
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    if (getattr(args, "kernel", None) == graph.KERNEL_CLOSED_SPARSE
+            and args.normalization != graph.NORM_SYM):
+        raise ValueError(f"the closed-sparse kernel needs normalization {graph.NORM_SYM!r}, "
+                         f"not {args.normalization!r}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (SpectralCFError, ValueError, TypeError, OSError) as exc:
         _print_err(str(exc))

@@ -73,7 +73,6 @@ class ConvKernel:
     rounding), so ``apply`` also serves the backward pass.
     """
 
-    form: str
     matrix: object  # ndarray for dense_eig, csr_matrix for closed_sparse
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -259,13 +258,13 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
             raise ValueError("dense_eig form requires a basis")
         U = basis.eigenvectors
         K = (U * (1.0 + basis.eigenvalues)) @ U.T
-        return ConvKernel(KERNEL_DENSE_EIG, K)
+        return ConvKernel(K)
     if form == KERNEL_CLOSED_SPARSE:
         if basis is not None and basis.normalization != NORM_SYM:
             raise ValueError("closed_sparse kernel is only valid for the sym_orthonormal basis")
         A_norm = _sym_normalized_adjacency(graph)
         K = (2.0 * sp.identity(graph.n_vertices, format="csr") - A_norm).tocsr()
-        return ConvKernel(KERNEL_CLOSED_SPARSE, K)
+        return ConvKernel(K)
     raise ValueError(f"unknown kernel form: {form!r}")
 
 

@@ -620,3 +620,111 @@ class TestSpectralEmbed:
             "spectral-embed", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "error:" in err
+
+
+# The file arguments each command requires, pointing at files that do not exist.
+def required_argv(command, missing):
+    return {
+        "split": ["--input", str(missing / "raw.tsv")],
+        "train": ["--split-dir", str(missing)],
+        "evaluate": ["--split-dir", str(missing), "--checkpoint", str(missing / "m.spck")],
+        "recommend": ["--split-dir", str(missing), "--checkpoint", str(missing / "m.spck"),
+                      "--user", "u0"],
+        "spectral-embed": ["--split-dir", str(missing)],
+    }[command]
+
+
+def command_of(key):
+    """The last command taking ``key``: spectral-embed for normalization, which
+    takes no kernel, so every normalization is valid there."""
+    return [c for c, keys in cli.COMMAND_OPTIONS.items() if key in keys][-1]
+
+
+def non_default_text(opt):
+    if opt.choices:
+        return next(c for c in opt.choices if c != opt.default)
+    if opt.type is cli.int_list:
+        return "5,10"
+    return str(opt.default + 1)
+
+
+class TestOptionTable:
+    """Every option is read the same way from its flag and from a config file."""
+
+    @pytest.mark.parametrize("key", sorted(cli.OPTIONS))
+    def test_flag_and_config_resolve_alike(self, tmp_path, key):
+        opt, command = cli.OPTIONS[key], command_of(key)
+        text = non_default_text(opt)
+        base = [command, *required_argv(command, tmp_path / "missing")]
+        # The flag takes the '-' spelling of a choice, the config file the '_' one.
+        from_flag = cli.parse_args([*base, opt.flag, text.replace("_", "-")])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={text}\n")
+        from_config = cli.parse_args([*base, "--config", str(config)])
+        assert getattr(from_flag, key) == getattr(from_config, key) == opt.parse(text)
+        assert getattr(from_config, key) != opt.default
+        defaults = cli.parse_args(base)
+        for other in cli.COMMAND_OPTIONS[command]:
+            if other != key:
+                assert getattr(from_config, other) == getattr(defaults, other)
+
+    @pytest.mark.parametrize("key", sorted(cli.OPTIONS))
+    def test_bad_config_value_fails_before_any_file_is_read(self, tmp_path, capsys, key):
+        command = command_of(key)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=x\n")
+        code, _, err = run(capsys, [command, *required_argv(command, tmp_path / "missing"),
+                                    "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith(f"error: {config}: {key}: ")
+        assert "No such file" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "K=abc", "K: 'abc' is not a valid int"),
+        ("evaluate", "cutoffs=20,x", "cutoffs: '20,x' is not a valid int_list"),
+    ])
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, command, line,
+                                                 message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, [command, *required_argv(command, tmp_path / "missing"),
+                                    "--config", str(config)])
+        assert code == 1
+        assert err == f"error: {config}: {message}\n"
+
+    def test_unknown_config_key_fails(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        config = tmp_path / "run.cfg"
+        config.write_text("epoch=3\n")
+        out_dir = tmp_path / "typo"
+        code, out, err = run(capsys, ["train", "--split-dir", str(split_dir), "--config",
+                                      str(config), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert err == f"error: {config}: unknown key 'epoch'\n"
+        assert out == "" and not out_dir.exists()
+
+    def test_one_config_serves_every_command(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        config = tmp_path / "all.cfg"
+        config.write_text("format=tsv\nK=1\nC=2\nF=2\nepochs=2\nbatch_size=8\n"
+                          "kernel=dense_eig\ncutoffs=2,4\nM=3\nk=1\n")
+        out_dir = tmp_path / "all"
+        common = ["--split-dir", str(split_dir), "--config", str(config),
+                  "--out-dir", str(out_dir)]
+        ckpt = ["--checkpoint", str(out_dir / "model.spck")]
+        for argv in (["train", *common], ["evaluate", *common, *ckpt],
+                     ["recommend", *common, *ckpt, "--user", "u0"],
+                     ["spectral-embed", *common]):
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+        assert len(out_dir.joinpath("coordinates.tsv").read_text().splitlines()[0].split()) == 3
+
+    def test_spectral_embed_rejects_both_sources(self, workspace, capsys):
+        tmp_path, raw, split_dir = workspace
+        out_dir = tmp_path / "both"
+        code, out, err = run(capsys, ["spectral-embed", "--split-dir", str(split_dir),
+                                      "--input", str(raw), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert err.startswith("error:") and "--input" in err
+        assert not out_dir.exists()
