@@ -114,8 +114,10 @@ COMMAND_OPTIONS = {
 
 
 def load_config_file(path) -> dict:
-    """Read a flat key=value config file; '#' lines and blanks are skipped."""
+    """Read a flat key=value config file; '#' lines and blanks are skipped,
+    and a key may be given only once."""
     cfg = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -124,7 +126,12 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key in cfg:
+                raise ValueError(f"{path}:{line_no}: key {key!r} given again "
+                                 f"(first on line {first_line[key]})")
+            cfg[key] = value.strip()
+            first_line[key] = line_no
     return cfg
 
 
@@ -152,6 +159,12 @@ def _print_err(message: str) -> None:
 
 
 def cmd_split(args) -> int:
+    # Range checks come before the input is read.
+    if args.protocol == "standard":
+        data.check_train_fraction(args.fraction)
+    else:
+        data.check_items_per_user(args.p)
+    data.check_min_interactions(args.min_interactions)
     with open(args.input, "rb") as fh:
         columns = data.parse_interactions(fh, args.format)
     dataset = data.to_implicit(columns, min_user_interactions=args.min_interactions)
@@ -200,7 +213,7 @@ def _build_kernel(args, train_set):
 
 
 def cmd_train(args) -> int:
-    train_set = data.load_train(args.split_dir)
+    # Both configurations check their ranges before the split is read.
     tc = training.TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -212,17 +225,19 @@ def cmd_train(args) -> int:
         steps_per_epoch=args.steps_per_epoch,
         reg_scope=args.reg_scope,
     )
+    # BPR-MF is the K = 0 model, with input width d; it needs no graph.
+    bpr_mf = args.model == "bpr-mf"
+    mc = (model.ModelConfig(K=0, C=args.d) if bpr_mf
+          else model.ModelConfig(K=args.K, C=args.C, F=args.F, seed=args.seed))
+    train_set = data.load_train(args.split_dir)
 
     _out_dir(args).mkdir(parents=True, exist_ok=True)
     ckpt_path = _out_path(args, args.checkpoint)
     log_path = _out_path(args, args.loss_log)
 
-    if args.model == "bpr-mf":
-        # BPR-MF is the K = 0 model, with input width d; it needs no graph.
+    if bpr_mf:
         params, history = baselines.fit_bpr_mf(train_set, args.d, tc, init_seed=args.seed)
-        mc = model.ModelConfig(K=0, C=args.d)
     else:
-        mc = model.ModelConfig(K=args.K, C=args.C, F=args.F, seed=args.seed)
         params, history = training.train(train_set, _build_kernel(args, train_set), mc, tc)
 
     # Both files are replaced only once training has succeeded, each atomically.

@@ -1,9 +1,9 @@
 """Interaction parsing, implicit-feedback conversion and train/test splitting.
 
-Interactions are held column-wise. The parser returns one list per field;
-an :class:`InteractionSet` is the CSR pattern of the binary interaction
-matrix (``indptr``, ``indices``) over dense user/item indices, plus the
-external id lists. Raw records are collapsed to deduplicated binary feedback
+Interactions are held column-wise. The parser codes each id column against
+its distinct ids; an :class:`InteractionSet` is the CSR pattern of the
+binary interaction matrix (``indptr``, ``indices``) over dense user/item
+indices, plus the external id lists. Raw records are collapsed to deduplicated binary feedback
 and split per user either 80/20-style or by retaining a fixed number of
 training items per user (cold-start protocol).
 """
@@ -11,14 +11,13 @@ training items per user (cold-start protocol).
 from __future__ import annotations
 
 import os
-from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import repeat
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyDatasetError, ParseError, SplitFormatError
 
@@ -34,14 +33,19 @@ _FORMATS = {
 
 @dataclass(frozen=True)
 class RawColumns:
-    """Parsed records in input order, one list per id field.
+    """Parsed records in input order, each id column coded.
 
-    Ratings and timestamps are validated by the parser but not kept: every
-    observation counts as one implicit interaction.
+    ``user_ids`` / ``item_ids`` hold the distinct ids in order of first
+    appearance; record ``r`` has user ``user_ids[users[r]]`` and item
+    ``item_ids[items[r]]`` (``users`` and ``items`` are int64). Ratings and
+    timestamps are validated by the parser but not kept: every observation
+    counts as one implicit interaction.
     """
 
-    users: list[str]
-    items: list[str]
+    user_ids: list[str]
+    item_ids: list[str]
+    users: np.ndarray
+    items: np.ndarray
 
     def __len__(self) -> int:
         return len(self.users)
@@ -151,53 +155,187 @@ def parse_interactions(source, fmt: str) -> RawColumns:
     ``"tsv"`` (``user<TAB>item[<TAB>weight[<TAB>timestamp]]``). Blank lines are
     skipped; any malformed line raises :class:`ParseError` with its 1-based
     line number, blank lines counted.
+
+    Two readers share this contract. The byte scanner (:func:`_scan`) takes
+    every file whose records all have one field count and no irregular bytes;
+    the line-by-line reader (:func:`_parse_lines`) takes the rest, and is the
+    one that names a bad line.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
-    text = source if isinstance(source, (bytes, bytearray, str)) else source.read()
-    if not isinstance(text, str):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = text.count(b"\n", 0, exc.start) + 1
-            raise ParseError(line_no, f"invalid UTF-8: {exc.reason}") from None
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.rstrip("\r") for line in lines]
+    raw = source if isinstance(source, (bytes, bytearray, str)) else source.read()
+    buf = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else raw
+    columns = _scan(buf, fmt)
+    return _parse_lines(raw, fmt) if columns is None else columns
 
-    # Fast path, for files whose lines all have one field count: one flat
-    # list of fields, sliced into columns that are checked whole. Splitting
-    # on the separator and on "\n" at once equals splitting each line, as no
-    # line holds a "\n". Any breach, or a tsv file mixing field counts, falls
-    # through to the line-by-line reader, which reports the first bad line.
+
+def _scan(buf, fmt: str) -> RawColumns | None:
+    """The byte scanner: None for a file it does not take.
+
+    Line ends and separators are found with NumPy over the bytes, and each id
+    column is coded in one pass (:func:`_code_ids`). It takes valid UTF-8
+    without NUL bytes whose records all have one allowed field count, with
+    ``\\r`` only right before a line end, no empty id and, for ``::``, no run
+    of three or more ``:``. Numeric fields of ASCII digits are accepted
+    column-wise; any other column is checked with ``float()``/``int()``.
+    """
     sep, lo, hi, _ = _FORMATS[fmt]
-    records = [line for line in lines if line]
-    if not records:
-        return RawColumns([], [])
-    n_seps = set(map(methodcaller("count", sep), records))
-    width = n_seps.pop() + 1
-    if not n_seps and lo <= width <= hi:
-        fields = "\n".join(records).replace(sep, "\n").split("\n")
-        users, items = fields[0::width], fields[1::width]
-        if "" not in users and "" not in items:
-            try:
-                if width >= 3:
-                    deque(map(float, fields[2::width]), maxlen=0)
-                if width == 4:
-                    deque(map(int, fields[3::width]), maxlen=0)
-            except ValueError:
-                pass
-            else:
-                return RawColumns(users, items)
-    return _parse_lines(lines, fmt)
+    if b"\0" in buf:
+        return None
+    if not buf.isascii():
+        try:
+            buf.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    b = np.frombuffer(buf, dtype=np.uint8)
+    newlines = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, len(b))
+    cr = ends > starts
+    cr[cr] = b[ends[cr] - 1] == ord("\r")
+    if np.count_nonzero(cr) != buf.count(b"\r"):
+        return None
+    ends -= cr
+    record = ends > starts
+    starts, ends = starts[record], ends[record]
+    n = len(starts)
+    if not n:
+        return RawColumns([], [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    if sep == "\t":
+        seps = np.flatnonzero(b == ord("\t"))
+    else:
+        colon = b == ord(":")
+        pair = colon[:-1] & colon[1:]
+        if (pair[:-1] & colon[2:]).any():
+            return None
+        seps = np.flatnonzero(pair)
+    # Sorted separators cut into blocks of width - 1: each block lying inside
+    # its own record means every record has exactly width - 1 of them.
+    width = len(seps) // n + 1
+    if len(seps) != n * (width - 1) or not lo <= width <= hi:
+        return None
+    seps = seps.reshape(n, width - 1)
+    if (seps[:, 0] < starts).any() or (seps[:, -1] >= ends).any():
+        return None
+    field_starts = [starts, *(seps + len(sep)).T]
+    field_ends = [*seps.T, ends]
+    user_lens, item_lens = field_ends[0] - starts, field_ends[1] - field_starts[1]
+    if not (user_lens.all() and item_lens.all()):
+        return None
+    if width >= 3:
+        # One trailing sentinel keeps an end at the end of the file in range.
+        nondigit = np.append((b < ord("0")) | (b > ord("9")), True)
+        for col, cast in [(2, float), (3, int)][:width - 2]:
+            if not _numbers_parse(buf, nondigit, field_starts[col], field_ends[col], cast):
+                return None
+    user_ids, users = _code_ids(b, starts, user_lens)
+    item_ids, items = _code_ids(b, field_starts[1], item_lens)
+    return RawColumns(user_ids, item_ids, users, items)
 
 
-def _parse_lines(lines: list[str], fmt: str) -> RawColumns:
-    """Line-by-line reader: the reference for what the fast path accepts."""
+def _numbers_parse(buf, nondigit: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                   cast) -> bool:
+    """Whether ``cast`` accepts every field ``buf[starts[r]:ends[r]]``. A
+    column of non-empty ASCII digit runs (``nondigit`` marks every other
+    byte) passes whole, any other column field by field."""
+    if (ends > starts).all():
+        bounds = np.column_stack([starts, ends]).ravel()
+        if not np.logical_or.reduceat(nondigit, bounds)[::2].any():
+            return True
+    try:
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            cast(buf[s:e].decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+def _code_ids(b: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """Code the id column ``b[starts[r]:starts[r] + lens[r]]`` (lengths >= 1)
+    in order of first appearance: (the distinct ids, decoded, and each
+    field's int64 code).
+
+    Each field is keyed by its bytes, zero padded, so keys are equal exactly
+    when ids are (the scanner admits no NUL byte). A field of up to 8 bytes
+    is one little-endian uint64, read straight from the bytes; a longer one
+    is fixed-width bytes of the next power of two, so that no key is more
+    than twice its field. Only the distinct ids are decoded.
+    """
+    pad = 8
+    while pad < lens.max():
+        pad *= 2
+    padded = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
+    groups = []
+    short = np.flatnonzero(lens <= 8)
+    if len(short):
+        # The 8 bytes from every offset, as overlapping uint64 words.
+        words = np.ndarray((len(b) + pad - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        low_bytes = np.uint64(2**64 - 1) >> (64 - 8 * lens[short]).astype(np.uint64)
+        groups.append((short, words[starts[short]] & low_bytes))
+    lo, width = 8, 16
+    while lo < pad:
+        rows = np.flatnonzero((lens > lo) & (lens <= width))
+        if len(rows):
+            field = sliding_window_view(padded, width)[starts[rows]]
+            field[np.arange(width) >= lens[rows, None]] = 0
+            groups.append((rows, field.view(f"S{width}").ravel()))
+        lo, width = width, 2 * width
+    ids, codes = _first_appearance(groups, len(starts))
+    return [i.decode("utf-8") for i in ids], codes
+
+
+def _first_appearance(groups, n: int) -> tuple[list, np.ndarray]:
+    """Code ``n`` values in order of first appearance: (the distinct values,
+    each value's int64 code).
+
+    ``groups`` holds ``(rows, keys)`` pairs that together cover rows 0..n-1
+    once, where no key of one group equals a key of another. uint64 keys
+    stand for their 8 little-endian bytes. One unstable sort per group: the
+    first occurrence of a key is the least row of its run in sorted order.
+    """
+    values, firsts, rows_of, inverses = [], [], [], []
+    for rows, keys in groups:
+        if not len(keys):
+            continue
+        perm = np.argsort(keys)
+        ordered = keys[perm]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        runs = np.flatnonzero(new)
+        inverse = np.empty(len(keys), dtype=np.int64)
+        inverse[perm] = np.cumsum(new) - 1
+        distinct = ordered[runs]
+        inverses.append(inverse + len(values))
+        values += (distinct.view("S8") if distinct.dtype.kind == "u" else distinct).tolist()
+        firsts.append(rows[np.minimum.reduceat(perm, runs)])
+        rows_of.append(rows)
+    if not values:
+        return [], np.empty(0, dtype=np.int64)
+    order = np.argsort(np.concatenate(firsts))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    codes = np.empty(n, dtype=np.int64)
+    codes[np.concatenate(rows_of)] = rank[np.concatenate(inverses)]
+    return [values[k] for k in order.tolist()], codes
+
+
+def _parse_lines(raw, fmt: str) -> RawColumns:
+    """Line-by-line reader: the reference for what the byte scanner takes,
+    and the source of every :class:`ParseError`."""
+    if isinstance(raw, str):
+        text = raw
+    else:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = raw.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line_no, f"invalid UTF-8: {exc.reason}") from None
     sep, lo, hi, expected = _FORMATS[fmt]
     users: list[str] = []
     items: list[str] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
         if not line:
             continue
         parts = line.split(sep)
@@ -214,7 +352,10 @@ def _parse_lines(lines: list[str], fmt: str) -> RawColumns:
             raise ParseError(line_no, f"bad numeric field: {exc}") from None
         users.append(parts[0])
         items.append(parts[1])
-    return RawColumns(users, items)
+    rows = np.arange(len(users))
+    user_ids, user_codes = _first_appearance([(rows, np.array(users, dtype=object))], len(rows))
+    item_ids, item_codes = _first_appearance([(rows, np.array(items, dtype=object))], len(rows))
+    return RawColumns(user_ids, item_ids, user_codes, item_codes)
 
 
 def _codes_in(values: list[str], ids: list[str]) -> np.ndarray:
@@ -223,16 +364,25 @@ def _codes_in(values: list[str], ids: list[str]) -> np.ndarray:
     return np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
 
 
-def _first_appearance_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """(distinct values in order of first appearance, each value's code)."""
-    ids = list(dict.fromkeys(values))
-    return ids, _codes_in(values, ids)
-
-
 def _in_first_appearance_order(codes: np.ndarray) -> np.ndarray:
     """Distinct codes ordered by where each first occurs."""
     distinct, first = np.unique(codes, return_index=True)
     return distinct[np.argsort(first)]
+
+
+def check_min_interactions(min_user_interactions: int) -> None:
+    if min_user_interactions < 1:
+        raise ValueError("min_user_interactions must be >= 1")
+
+
+def check_train_fraction(train_fraction: float) -> None:
+    if not (0.0 < train_fraction < 1.0):
+        raise ValueError("train_fraction must be in (0, 1)")
+
+
+def check_items_per_user(items_per_user: int) -> None:
+    if items_per_user < 1:
+        raise ValueError("items_per_user must be >= 1")
 
 
 def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> InteractionSet:
@@ -243,10 +393,9 @@ def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> Interact
     dropped, and filtering iterates until no isolated user or item remains.
     Surviving ids are re-indexed densely in order of first appearance.
     """
-    if min_user_interactions < 1:
-        raise ValueError("min_user_interactions must be >= 1")
-    user_ext, u = _first_appearance_codes(columns.users)
-    item_ext, i = _first_appearance_codes(columns.items)
+    check_min_interactions(min_user_interactions)
+    user_ext, u = columns.user_ids, columns.users
+    item_ext, i = columns.item_ids, columns.items
     n_u, n_i = len(user_ext), len(item_ext)
     keys, first = np.unique(u * n_i + i, return_index=True)
     u, i = keys // n_i, keys % n_i
@@ -354,8 +503,7 @@ def split_standard(data: InteractionSet, train_fraction: float, rng_seed: int) -
     interaction are repaired by :func:`_repair_isolated_items` so the training
     graph has no isolated vertices. Deterministic for a fixed seed.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     rng = np.random.default_rng(rng_seed)
     in_train = np.zeros(data.n_interactions(), dtype=bool)
     bounds = data.indptr.tolist()
@@ -377,8 +525,7 @@ def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -
     :func:`split_standard`; the count-preserving swap keeps the exact-P
     property except in the rare promoted cases reported as ``n_rescued``.
     """
-    if items_per_user < 1:
-        raise ValueError("items_per_user must be >= 1")
+    check_items_per_user(items_per_user)
     sizes = np.diff(data.indptr)
     kept_user = sizes > items_per_user
     retained = np.flatnonzero(kept_user)
@@ -533,10 +680,9 @@ def _read_pairs(path: Path) -> RawColumns:
 
 def _load_train(src: Path, meta: dict[str, str]) -> InteractionSet:
     columns = _read_pairs(src / "train.tsv")
-    user_ids, users = _first_appearance_codes(columns.users)
-    item_ids, items = _first_appearance_codes(columns.items)
-    train = InteractionSet.from_pairs(len(user_ids), len(item_ids), users, items,
-                                      user_ids, item_ids)
+    train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
+                                      columns.users, columns.items,
+                                      columns.user_ids, columns.item_ids)
     _check_meta(meta, src, {
         "n_users": train.n_users,
         "n_items": train.n_items,
@@ -564,14 +710,14 @@ def load_split(in_dir) -> SplitPair:
     meta = _read_meta(src)
     train = _load_train(src, meta)
     columns = _read_pairs(src / "test.tsv")
-    users = _codes_in(columns.users, train.user_ids)
-    items = _codes_in(columns.items, train.item_ids)
+    # Only the distinct test ids are looked up in the train index space.
+    users = _codes_in(columns.user_ids, train.user_ids)[columns.users]
+    items = _codes_in(columns.item_ids, train.item_ids)[columns.items]
     outside = np.flatnonzero((users < 0) | (items < 0))
     if len(outside):
         k = outside[0]
-        raise SplitFormatError(
-            f"test pair ({columns.users[k]}, {columns.items[k]}) outside the train index space"
-        )
+        user, item = columns.user_ids[columns.users[k]], columns.item_ids[columns.items[k]]
+        raise SplitFormatError(f"test pair ({user}, {item}) outside the train index space")
     test = InteractionSet.from_pairs(train.n_users, train.n_items, users, items,
                                      train.user_ids, train.item_ids)
     _check_meta(meta, src, {"n_test": test.n_interactions()})

@@ -36,7 +36,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.K < 0 or self.C < 1 or self.F < 1:
-            raise ValueError("K must be >= 0, C and F >= 1")
+            raise ValueError(f"K must be >= 0, C and F >= 1 (got K={self.K}, C={self.C}, "
+                             f"F={self.F})")
 
     @property
     def factor_width(self) -> int:
@@ -88,12 +89,14 @@ class LayerTrace:
     """Forward-pass intermediates needed by reverse-mode gradients.
 
     ``xs[k]`` is the layer-k activation (xs[0] is the raw stacked input);
-    ``kxs[k]`` is the kernel product kernel @ xs[k] that feeds xs[k+1], kept
-    so the backward pass need not recompute it.
+    ``kxs[k]`` is the kernel product kernel @ xs[k] that feeds xs[k+1], and
+    ``V`` the concatenation of every ``xs[k]`` (the factor rows, users then
+    items), both kept so the backward pass need not recompute them.
     """
 
     xs: list[np.ndarray]
     kxs: list[np.ndarray]
+    V: np.ndarray
 
 
 def init_params(config: ModelConfig, n_users: int, n_items: int) -> ModelParams:
@@ -134,7 +137,7 @@ def forward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig)
         xs.append(sigmoid(Z))
     V = np.hstack(xs)
     factors = FactorTable(V_u=V[:n_users], V_i=V[n_users:])
-    return factors, LayerTrace(xs=xs, kxs=kxs)
+    return factors, LayerTrace(xs=xs, kxs=kxs, V=V)
 
 
 def score(factors: FactorTable, u: int, i: int) -> float:

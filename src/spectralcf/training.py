@@ -166,7 +166,7 @@ def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig
     if trace is None:
         raise ValueError("backward requires the LayerTrace of the paired forward call")
     n_users = params.n_users
-    V = np.hstack(trace.xs)
+    V = trace.V
     V_u, V_i = V[:n_users], V[n_users:]
     r, j, jn = batch
 

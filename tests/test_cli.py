@@ -693,6 +693,31 @@ class TestOptionTable:
         assert code == 1
         assert err == f"error: {config}: {message}\n"
 
+    def test_repeated_config_key_fails(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("K=2\n# later\nepochs=2\nK=1\n")
+        code, _, err = run(capsys, ["train", *required_argv("train", tmp_path / "missing"),
+                                    "--config", str(config)])
+        assert code == 1
+        assert err == f"error: {config}:4: key 'K' given again (first on line 1)\n"
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("split", ["--fraction", "1.8"], "train_fraction must be in (0, 1)"),
+        ("split", ["--protocol", "cold-start", "--p", "0"], "items_per_user must be >= 1"),
+        ("split", ["--min-interactions", "0"], "min_user_interactions must be >= 1"),
+        ("train", ["-K", "-1"], "K must be >= 0, C and F >= 1 (got K=-1"),
+        ("train", ["--model", "bpr-mf", "--d", "0"], "(got K=0, C=0"),
+        ("train", ["--epochs", "0"], "epochs and steps_per_epoch must be >= 1"),
+        ("train", ["--rms-decay", "1.5"], "rms_decay must lie in (0, 1)"),
+    ])
+    def test_out_of_range_value_fails_before_any_file_is_read(self, tmp_path, capsys,
+                                                              command, flags, message):
+        code, _, err = run(capsys, [command, *required_argv(command, tmp_path / "missing"),
+                                    *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_fails(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
         config = tmp_path / "run.cfg"

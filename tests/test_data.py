@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from spectralcf import cli, data
-from spectralcf.errors import EmptyDatasetError, ParseError, SpectralCFError
+from spectralcf.errors import EmptyDatasetError, ParseError, SpectralCFError, SplitFormatError
 
 from conftest import make_interactions, random_interactions
+
+
+def users_of(cols):
+    """The user id of every record, in input order."""
+    return [cols.user_ids[u] for u in cols.users.tolist()]
+
+
+def items_of(cols):
+    """The item id of every record, in input order."""
+    return [cols.item_ids[i] for i in cols.items.tolist()]
 
 
 class TestParse:
@@ -14,14 +24,14 @@ class TestParse:
         raw = b"1::1193::5::978300760\n1::661::3::978302109\n2::1193::4::978298413\n"
         cols = data.parse_interactions(raw, "movielens_dat")
         assert len(cols) == 3
-        assert cols.users == ["1", "1", "2"]
-        assert cols.items == ["1193", "661", "1193"]
+        assert users_of(cols) == ["1", "1", "2"]
+        assert items_of(cols) == ["1193", "661", "1193"]
 
     def test_tsv_two_to_four_fields(self):
         raw = b"a\tx\nb\ty\t2.5\nc\tz\t1\t99\n"
         cols = data.parse_interactions(raw, "tsv")
-        assert cols.users == ["a", "b", "c"]
-        assert cols.items == ["x", "y", "z"]
+        assert users_of(cols) == ["a", "b", "c"]
+        assert items_of(cols) == ["x", "y", "z"]
         # The optional fields are checked on every line, also in mixed files.
         for bad, line_no in [(b"a\tx\nb\ty\t2.5x\n", 2), (b"a\tx\t1\t9.5\nb\ty\n", 1),
                              (b"a\tx\t1\t2\t3\n", 1), (b"a\t\n", 1)]:
@@ -32,7 +42,7 @@ class TestParse:
     def test_blank_lines_skipped(self):
         cols = data.parse_interactions(b"a\tx\n\n\nb\ty\n", "tsv")
         assert len(cols) == 2
-        assert cols.users == ["a", "b"]
+        assert users_of(cols) == ["a", "b"]
 
     def test_malformed_line_reports_number(self):
         # Blank lines count, and CRLF endings change nothing.
@@ -43,7 +53,7 @@ class TestParse:
                 data.parse_interactions(raw, "tsv")
             assert exc.value.line_no == line_no
         cols = data.parse_interactions(b"a\tx\r\n\r\nb\ty\t1\r\n", "tsv")
-        assert cols.users == ["a", "b"] and cols.items == ["x", "y"]
+        assert users_of(cols) == ["a", "b"] and items_of(cols) == ["x", "y"]
 
     def test_bad_numeric_field(self):
         with pytest.raises(ParseError) as exc:
@@ -53,6 +63,121 @@ class TestParse:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             data.parse_interactions(b"", "csv")
+
+
+def first_appearance_oracle(values):
+    """(distinct values in order of first appearance, each value's code)."""
+    ids = list(dict.fromkeys(values))
+    index = {v: k for k, v in enumerate(ids)}
+    return ids, [index[v] for v in values]
+
+
+def parsed_or_line(parse, raw, fmt):
+    """Per-record (user, item) ids as parse codes them, or the line number
+    of its ParseError."""
+    try:
+        cols = parse(raw, fmt)
+    except ParseError as exc:
+        return exc.line_no
+    assert cols.users.dtype == cols.items.dtype == np.int64
+    assert len(cols.users) == len(cols.items) == len(cols)
+    assert cols.user_ids == first_appearance_oracle(users_of(cols))[0]
+    assert cols.item_ids == first_appearance_oracle(items_of(cols))[0]
+    return cols.user_ids, cols.users.tolist(), cols.item_ids, cols.items.tolist()
+
+
+ID_CHARS = ["a", "b", "Z", "0", "7", "-", ".", " ", ":", "\u00e9", "\u65e5", "\U0001f600"]
+RATINGS = ["5", "3", "12", "4.5", "1e3", " 7", "-5", "x", "", "\u0663"]
+STAMPS = ["978300760", "0", "42", "-5", " 7", "4.5", "1_0", ""]
+NOISE = [b"\0", b"\xff", b"\xc3", b"\r", b":::", b":", b"\t", b"\n", b"::", b"\r\n"]
+
+
+def random_file(rng):
+    """A small interaction file: mostly well formed, often with one defect."""
+    fmt = ["tsv", "movielens_dat"][rng.integers(2)]
+    sep = "\t" if fmt == "tsv" else "::"
+    pool = ["".join(rng.choice(ID_CHARS, size=rng.integers(1, 20)).tolist())
+            for _ in range(rng.integers(1, 8))]
+    if fmt == "movielens_dat" and rng.random() < 0.5:
+        pool = [p.replace(":", "") or "q" for p in pool]
+    width = 4 if fmt == "movielens_dat" else int(rng.integers(2, 5))
+    mixed = rng.random() < 0.15
+    clean = rng.random() < 0.5
+    lines = []
+    for _ in range(rng.integers(0, 25)):
+        w = int(rng.integers(2, 6)) if mixed else width
+        fields = [pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]]
+        if w >= 3:
+            fields.append("4" if clean else RATINGS[rng.integers(len(RATINGS))])
+        if w >= 4:
+            fields.append("978300760" if clean else STAMPS[rng.integers(len(STAMPS))])
+        fields += ["1"] * (w - 4)
+        lines.append(sep.join(fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    raw = end.join(lines).encode("utf-8")
+    if lines and rng.random() < 0.7:
+        raw += end.encode()
+    if rng.random() < 0.3:
+        at = int(rng.integers(len(raw) + 1))
+        raw = raw[:at] + NOISE[rng.integers(len(NOISE))] + raw[at:]
+    return raw, fmt
+
+
+class TestScannerAgainstLineReader:
+    """The byte scanner and the line-by-line reader code the same ids the same
+    way, or report the same bad line."""
+
+    CASES = [
+        (b"a\tx\r\nb\ty\r\n", "tsv"),
+        (b"a\tx\n\n\nb\ty\n\n", "tsv"),
+        (b"a\tx\nb\ty", "tsv"),
+        (b"\n\n", "tsv"),
+        (b"", "movielens_dat"),
+        ("user-\u00e9\u65e5\titem-longer-than-16-bytes\nu\ti\n".encode(), "tsv"),
+        (b"long-user-id-1\tx\nlong-user-id-2\tx\nlong-user-id-1\ty\nu\tx\n", "tsv"),
+        (b"a:b::c:d::5::978300760\na::c:d::1::2\n", "movielens_dat"),
+        (b"a:::b::5::1\n", "movielens_dat"),
+        (b"a::b::4.5::1\nc::d::1e3:: 7\ne::f::-5::-5\n", "movielens_dat"),
+        (b"a::b::4.5::x\n", "movielens_dat"),
+        (b"a\tb\t1\nc\td\n", "tsv"),
+        (b"a\tx\nb\0\ty\n", "tsv"),
+        (b"a\tx\nb\xff\ty\n", "tsv"),
+        (b"a\tx\nb\ry\tz\n", "tsv"),
+        (b"a\tx\r\r\nb\ty\n", "tsv"),
+        (b"a\tx\nb\t\n", "tsv"),
+        (b"a\tx\n\tb\n", "tsv"),
+        # The separator count fits one width, but not line by line.
+        (b"a\tb\t1\nc\n", "tsv"),
+        (b"1::2::3::4\n5:::6::7\n", "movielens_dat"),
+    ]
+
+    def check(self, raw, fmt):
+        expected = parsed_or_line(data._parse_lines, raw, fmt)
+        assert parsed_or_line(data.parse_interactions, raw, fmt) == expected
+        scanned = data._scan(raw, fmt)
+        if scanned is not None:
+            assert parsed_or_line(lambda *_: scanned, raw, fmt) == expected
+        return scanned is not None
+
+    def test_hand_written_cases(self):
+        taken = [self.check(raw, fmt) for raw, fmt in self.CASES]
+        # Regular files go to the scanner, irregular ones to the line reader.
+        assert taken[:8] == [True] * 8
+        assert taken[8:11] == [False, True, False] and taken[11:] == [False] * 9
+
+    def test_random_files(self):
+        rng = np.random.default_rng(20)
+        taken = [self.check(*random_file(rng)) for _ in range(600)]
+        assert sum(taken) > 150
+
+    def test_numeric_columns_checked_apart_from_ids(self):
+        # A column of non-digit numbers is checked value by value, and the
+        # file stays with the scanner.
+        raw = b"a::b::4.5::1\nc::d::1e3:: 7\n"
+        assert users_of(data._scan(raw, "movielens_dat")) == ["a", "c"]
+        assert data._scan(b"a::b::4.5::1\nc::d::x::7\n", "movielens_dat") is None
 
 
 class TestToImplicit:
@@ -283,6 +408,14 @@ class TestSplitPersistence:
         assert cli.main(["train", "--split-dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "split.meta" in err and "n_users" in err
+
+    def test_test_pair_outside_train_index_space_named(self, tmp_path, toy_set):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        with open(tmp_path / "test.tsv", "a", encoding="utf-8") as fh:
+            fh.write(f"{toy_set.user_ids[0]}\tnew-item\n")
+        with pytest.raises(SplitFormatError, match=rf"test pair \({toy_set.user_ids[0]}, "
+                                                    r"new-item\) outside the train index"):
+            data.load_split(tmp_path)
 
     def test_interrupted_atomic_write_keeps_previous_bytes(self, tmp_path):
         path = tmp_path / "model.spck"
