@@ -41,8 +41,6 @@ from .graph import (
     eigendecompose,
     gft,
     igft,
-    load_basis,
-    save_basis,
     spectral_coordinates,
     verify_polynomial_equivalence,
 )

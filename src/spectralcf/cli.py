@@ -10,7 +10,6 @@ output directory of every command.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -75,9 +74,9 @@ OPTIONS = {
                     help="model"),
     "kernel": Option("--kernel", default=graph.KERNEL_CLOSED_SPARSE,
                      choices=(graph.KERNEL_CLOSED_SPARSE, graph.KERNEL_DENSE_EIG),
-                     help="kernel form"),
+                     help="kernel form (scoring uses closed-sparse for sym_orthonormal)"),
     "normalization": Option("--normalization", default=graph.NORM_SYM,
-                            choices=(graph.NORM_SYM, graph.NORM_RW), help="normalization"),
+                            choices=graph.NORMALIZATIONS, help="normalization"),
     "K": Option("-K", int, 3, help="number of propagation layers"),
     "C": Option("-C", int, 16, help="input factor width"),
     "F": Option("-F", int, 16, help="per-layer factor width"),
@@ -191,25 +190,11 @@ def cmd_split(args) -> int:
 # train
 
 
-def _basis_cache_path(cache_dir: Path, train_file: Path, normalization: str) -> Path:
-    digest = hashlib.sha256(train_file.read_bytes()).hexdigest()
-    return cache_dir / f"{digest}_{normalization}.spcf"
-
-
-def _build_kernel(args, train_set):
-    """Build the propagation kernel, caching the eigensystem for dense-eig."""
+def _build_kernel(train_set, form: str, normalization: str) -> graph.ConvKernel:
+    """The propagation kernel of ``form``; only dense_eig needs the eigensystem."""
     g = graph.build_graph(train_set)
-    if args.kernel == graph.KERNEL_CLOSED_SPARSE:
-        return graph.conv_kernel(g, None, args.kernel)
-    cache_dir = _out_dir(args) / "basis_cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache = _basis_cache_path(cache_dir, Path(args.split_dir) / "train.tsv", args.normalization)
-    if cache.exists():
-        basis = graph.load_basis(cache)
-    else:
-        basis = graph.eigendecompose(g, args.normalization)
-        graph.save_basis(basis, cache)
-    return graph.conv_kernel(g, basis, args.kernel)
+    basis = graph.eigendecompose(g, normalization) if form == graph.KERNEL_DENSE_EIG else None
+    return graph.conv_kernel(g, basis, form)
 
 
 def cmd_train(args) -> int:
@@ -238,7 +223,8 @@ def cmd_train(args) -> int:
     if bpr_mf:
         params, history = baselines.fit_bpr_mf(train_set, args.d, tc, init_seed=args.seed)
     else:
-        params, history = training.train(train_set, _build_kernel(args, train_set), mc, tc)
+        kernel = _build_kernel(train_set, args.kernel, args.normalization)
+        params, history = training.train(train_set, kernel, mc, tc)
 
     # Both files are replaced only once training has succeeded, each atomically.
     save_checkpoint(SpectralCheckpoint(params, mc, tc.rms_decay, tc.rms_epsilon), ckpt_path)
@@ -257,22 +243,35 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set, args) -> model.FactorTable:
+def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set,
+                            normalization: str) -> model.FactorTable:
     """The checkpoint's factors over ``train_set``: the one scorer type of
-    ``evaluate`` and ``recommend``. At K = 0 no graph or kernel is built."""
+    ``evaluate`` and ``recommend``. At K = 0 no graph or kernel is built.
+
+    The kernel depends on the normalization alone. In the orthonormal
+    sym_orthonormal basis U U^T = I, so the eigen-product is the sparse
+    closed form (acceptance gate 1 certifies the two agree), whatever
+    ``--kernel`` says; only an rw_raw model needs its eigensystem.
+    """
     params = ckpt.params
     if (params.n_users, params.n_items) != (train_set.n_users, train_set.n_items):
         raise DimensionError(
             f"checkpoint is for {params.n_users} users x {params.n_items} items, "
             f"split has {train_set.n_users} x {train_set.n_items}"
         )
-    kernel = _build_kernel(args, train_set) if ckpt.config.K else None
+    kernel = None
+    if ckpt.config.K:
+        form = (graph.KERNEL_DENSE_EIG if normalization == graph.NORM_RW
+                else graph.KERNEL_CLOSED_SPARSE)
+        kernel = _build_kernel(train_set, form, normalization)
     return model.forward(params, kernel, ckpt.config)[0]
 
 
 def cmd_evaluate(args) -> int:
+    evaluation.check_cutoffs(args.cutoffs)  # before the split is read
     split = data.load_split(args.split_dir)
-    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), split.train, args)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), split.train,
+                                      args.normalization)
     report = evaluation.evaluate(factors, split, args.cutoffs, map_denom=args.map_denom)
 
     out = _out_dir(args)
@@ -299,8 +298,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    model.check_list_length(args.M)  # before the split is read
     train_set = data.load_train(args.split_dir)
-    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), train_set, args)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), train_set,
+                                      args.normalization)
 
     try:
         u = train_set.user_ids.index(args.user)
@@ -321,6 +322,7 @@ def cmd_recommend(args) -> int:
 def cmd_spectral_embed(args) -> int:
     if (args.split_dir is None) == (args.input is None):
         raise ValueError("give exactly one of --split-dir or --input")
+    graph.check_coordinate_count(args.k)  # before the input is read
     if args.split_dir is not None:
         dataset = data.load_train(args.split_dir)
     else:

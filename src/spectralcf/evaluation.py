@@ -55,6 +55,14 @@ def map_at_m(ranked, relevant: set, M: int, denom: str = MAP_DENOM_TRUNCATED) ->
     return precision_sum / denominator
 
 
+def check_cutoffs(cutoffs) -> list[int]:
+    """The cutoffs in ascending order; there must be at least one, and each >= 1."""
+    cutoffs = sorted(int(m) for m in cutoffs)
+    if not cutoffs or cutoffs[0] < 1:
+        raise ValueError("cutoffs must be positive")
+    return cutoffs
+
+
 def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: bool = False,
              map_denom: str = MAP_DENOM_TRUNCATED) -> EvalReport:
     """Rank every item (training items excluded) for each evaluable user.
@@ -67,9 +75,7 @@ def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: boo
     per-user values are summed in ascending user order, as a loop over users
     would.
     """
-    cutoffs = sorted(int(m) for m in cutoffs)
-    if not cutoffs or cutoffs[0] < 1:
-        raise ValueError("cutoffs must be positive")
+    cutoffs = check_cutoffs(cutoffs)
     if map_denom not in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
         raise ValueError(f"unknown map_denom: {map_denom!r}")
     train = split.train

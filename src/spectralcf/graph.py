@@ -4,22 +4,24 @@ The vertex set stacks users first, items second. The default eigenbasis is
 the orthonormal eigensystem of the symmetric normalized Laplacian
 I - D^{-1/2} A D^{-1/2}, which shares its spectrum with the random-walk
 Laplacian I - D^{-1} A and makes the Fourier-transform identities exact.
-Eigenvectors of the random-walk Laplacian itself are available behind the
-``rw_raw`` normalization tag for fidelity experiments (inverse via solve).
+In that basis U U^T = I, so the propagation kernel U U^T + U Lambda U^T is
+the sparse closed form 2I - D^{-1/2} A D^{-1/2}, and the dense eigensystem
+is needed only to certify that, to filter in the frequency domain, and for
+the ``rw_raw`` normalization: eigenvectors of the random-walk Laplacian
+itself, for fidelity experiments (inverse via solve). It is computed when
+asked for and never stored.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .data import InteractionSet, atomic_open, check_size, read_exact
+from .data import InteractionSet
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
 
 NORM_SYM = "sym_orthonormal"
@@ -32,10 +34,7 @@ _EIG_RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-9
 _RESIDUAL_BLOCK = 256  # columns per step of the dense residual, to bound its scratch
 
-_CACHE_MAGIC = b"SPCF"
-_CACHE_VERSION = 1
-_NORM_TAGS = {NORM_SYM: 0, NORM_RW: 1}
-_TAGS_NORM = {v: k for k, v in _NORM_TAGS.items()}
+NORMALIZATIONS = (NORM_SYM, NORM_RW)
 
 
 @dataclass
@@ -119,7 +118,7 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
 
 
 def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray):
-    """Order columns within eigenvalue ties lexicographically (deterministic caching)."""
+    """Order columns within eigenvalue ties lexicographically, so the basis is deterministic."""
     order = list(range(len(values)))
     start = 0
     while start < len(values):
@@ -150,8 +149,14 @@ def _to_normalization(graph: BipartiteGraph, vectors: np.ndarray, normalization:
 
 
 def check_normalization(normalization: str) -> None:
-    if normalization not in _NORM_TAGS:
+    if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization: {normalization!r}")
+
+
+def check_coordinate_count(k: int) -> None:
+    """The lower bound on ``spectral_coordinates``'s k; the upper one needs the graph."""
+    if k < 1:
+        raise DimensionError(f"k={k} out of range: must be >= 1")
 
 
 def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> SpectralBasis:
@@ -306,10 +311,11 @@ def spectral_coordinates(graph: BipartiteGraph, k: int,
     raise NumericError; an unknown normalization raises ValueError first.
     """
     check_normalization(normalization)
+    check_coordinate_count(k)
     A_norm = _sym_normalized_adjacency(graph)
     n = graph.n_vertices
     n_comp, label = connected_components(A_norm, directed=False)
-    if not (1 <= k <= n - n_comp):
+    if k > n - n_comp:
         raise DimensionError(f"k={k} out of range [1, {n - n_comp}]")
 
     # Components as contiguous diagonal blocks, vertices ascending in each.
@@ -329,30 +335,3 @@ def spectral_coordinates(graph: BipartiteGraph, k: int,
     residual = coords - A_norm @ coords - coords * lam
     _check_residual(np.abs(residual).max())
     return _to_normalization(graph, coords, normalization)
-
-
-def save_basis(basis: SpectralBasis, path) -> None:
-    """Write the eigensystem cache: SPCF header, then values and row-major vectors."""
-    n = basis.n_vertices
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IQB", _CACHE_VERSION, n, _NORM_TAGS[basis.normalization]))
-        fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.eigenvectors, dtype="<f8").tobytes())
-
-
-def load_basis(path) -> SpectralBasis:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a basis cache file")
-        version, n, tag = struct.unpack("<IQB", read_exact(fh, 13, path))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        if tag not in _TAGS_NORM:
-            raise ValueError(f"{path}: unknown normalization tag {tag}")
-        check_size(fh, fh.tell() + 8 * (n + n * n), path)
-        values = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        vectors = np.frombuffer(fh.read(8 * n * n), dtype="<f8").copy().reshape(n, n)
-    return SpectralBasis(values, vectors, _TAGS_NORM[tag])

@@ -149,6 +149,11 @@ def score(factors: FactorTable, u: int, i: int) -> float:
     return float(factors.V_u[u] @ factors.V_i[i])
 
 
+def check_list_length(M: int) -> None:
+    if M < 1:
+        raise ValueError("M must be >= 1")
+
+
 def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
     """Row-wise top-M: for each row of ``scores`` (rows x items), the indices
     of its M highest scores, descending, ties by ascending index.
@@ -158,8 +163,7 @@ def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
     than that is padded with -1 at its end. Raises NumericError on any
     non-finite score, masked or not.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_list_length(M)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         r, i = np.argwhere(~np.isfinite(scores))[0]

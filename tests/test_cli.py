@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spectralcf import cli
+from spectralcf import cli, data, evaluation, graph, model
 from spectralcf.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -43,6 +43,11 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def files_in(root):
+    """Relative paths of the files under ``root``, sorted; none if it is missing."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
 
 def tree_digest(root):
@@ -253,20 +258,6 @@ class TestTrainEvaluateRecommend:
         a, b = finals["closed-sparse"], finals["dense-eig"]
         assert abs(a - b) / abs(a) < 1e-5
 
-    def test_basis_cache_reused(self, workspace, capsys):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "cache_run"
-        code, _, err = self._train(capsys, split_dir, out_dir,
-                                   extra=("--kernel", "dense-eig"))
-        assert code == 0, err
-        cache_files = list((out_dir / "basis_cache").glob("*.spcf"))
-        assert len(cache_files) == 1
-        stamp = cache_files[0].stat().st_mtime_ns
-        code, _, err = self._train(capsys, split_dir, out_dir,
-                                   extra=("--kernel", "dense-eig"))
-        assert code == 0, err
-        assert cache_files[0].stat().st_mtime_ns == stamp
-
     def test_unknown_user_fails(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
         out_dir = tmp_path / "run2"
@@ -389,8 +380,7 @@ class TestTrainEvaluateRecommend:
         code, _, err = self._train(capsys, split_dir, out_dir, extra=("--config", str(config)))
         assert code == 1
         assert "unknown kernel form" in err
-        cache = out_dir / "basis_cache"
-        assert not cache.exists() or not any(cache.iterdir())
+        assert files_in(out_dir) == []
 
 
 class TestKernelOptions:
@@ -430,7 +420,7 @@ class TestKernelOptions:
                                    "--config", str(tmp_path / "train.cfg"))
         assert code == 1
         assert "unknown normalization: 'sym_typo'" in err
-        assert not (out_dir / "basis_cache").exists()
+        assert files_in(out_dir) == []
 
     def test_evaluate_rejects_normalization_the_kernel_ignores(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
@@ -480,7 +470,91 @@ class TestKernelOptions:
                     str(out_dir / "model.spck"), "--kernel", "dense-eig", "--out-dir", str(out_dir)]
             code, _, err = run(capsys, argv + (["--user", "u0"] if command == "recommend" else []))
             assert code == 0, err
-        assert not (out_dir / "basis_cache").exists()
+        assert files_in(out_dir) == ["loss.tsv", "model.spck", "report.tsv"]
+
+
+class TestScoringKernel:
+    """evaluate and recommend take the kernel from the normalization alone: the
+    closed form for sym_orthonormal, the eigen-product for rw_raw."""
+
+    def _train(self, capsys, split_dir, out_dir, *extra):
+        return run(capsys, [
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+            "-K", "2", "-C", "4", "-F", "4", "--epochs", "3", "--batch-size", "8",
+            "--kernel", "dense-eig", *extra,
+        ])
+
+    def test_dense_eig_training_writes_only_model_and_loss_log(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "dense"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        assert files_in(out_dir) == ["loss.tsv", "model.spck"]
+
+    def test_sym_model_scores_with_closed_form_whatever_the_flag(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "sym"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("a sym_orthonormal model was scored from its eigensystem")
+
+        monkeypatch.setattr(cli.graph, "eigendecompose", no_eig)
+        score_dir = tmp_path / "scored"
+        common = ["--split-dir", str(split_dir), "--checkpoint", str(out_dir / "model.spck"),
+                  "--out-dir", str(score_dir)]
+        outputs = {}
+        for form in ("dense-eig", "closed-sparse"):
+            code, _, err = run(capsys, ["evaluate", *common, "--kernel", form,
+                                        "--cutoffs", "2,4", "--report", f"{form}.tsv"])
+            assert code == 0, err
+            code, out, err = run(capsys, ["recommend", *common, "--kernel", form,
+                                          "--user", "u0", "-M", "5"])
+            assert code == 0, err
+            outputs[form] = ((score_dir / f"{form}.tsv").read_bytes(), out)
+        assert outputs["dense-eig"] == outputs["closed-sparse"]
+
+    def test_rw_raw_model_scores_with_its_eigen_product(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "rw"
+        norm = ("--normalization", "rw_raw")
+        code, _, err = self._train(capsys, split_dir, out_dir, *norm)
+        assert code == 0, err
+        ckpt = load_checkpoint(out_dir / "model.spck")
+        split = data.load_split(split_dir)
+        train = split.train
+        g = graph.build_graph(train)
+
+        def factors_of(kernel):
+            return model.forward(ckpt.params, kernel, ckpt.config)[0]
+
+        factors = factors_of(graph.conv_kernel(g, graph.eigendecompose(g, "rw_raw"),
+                                               "dense_eig"))
+        # The closed form scores differently, so the comparisons below can fail.
+        closed = factors_of(graph.conv_kernel(g, None, "closed_sparse"))
+        assert not np.allclose(factors.V_u, closed.V_u)
+
+        common = ["--split-dir", str(split_dir), "--checkpoint", str(out_dir / "model.spck"),
+                  "--out-dir", str(out_dir), "--kernel", "dense-eig", *norm]
+        code, _, err = run(capsys, ["evaluate", *common, "--cutoffs", "2,4"])
+        assert code == 0, err
+        expected = tmp_path / "expected.tsv"
+        evaluation.save_report(evaluation.evaluate(factors, split, [2, 4]), expected)
+
+        def metric_lines(path):
+            return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+        assert metric_lines(out_dir / "report.tsv") == metric_lines(expected)
+
+        for u in range(3):
+            code, out, err = run(capsys, ["recommend", *common, "--user", train.user_ids[u],
+                                          "-M", "5"])
+            assert code == 0, err
+            scores = (factors.V_u[[u]] @ factors.V_i.T)[0]
+            assert out == "".join(f"{train.item_ids[i]}\t{scores[i]:.10f}\n"
+                                  for i in model.top_m(scores, train.items_of(u), 5))
 
 
 class TestCorruptFiles:
@@ -504,20 +578,6 @@ class TestCorruptFiles:
             assert err.startswith("error:") and str(ckpt) in err and message in err
             assert "Traceback" not in err
             assert not (out_dir / "report.tsv").exists()
-
-    def test_corrupt_basis_cache_fails_with_an_error_line(self, workspace, capsys):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "cache"
-        argv = ["train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
-                "--kernel", "dense-eig", "-K", "1", "-C", "2", "-F", "2", "--epochs", "2",
-                "--batch-size", "8"]
-        code, _, err = run(capsys, argv)
-        assert code == 0, err
-        (cache,) = (out_dir / "basis_cache").glob("*.spcf")
-        cache.write_bytes(cache.read_bytes() + b"\0" * 8)
-        code, _, err = run(capsys, argv)
-        assert code == 1
-        assert err.startswith("error:") and str(cache) in err and "trailing" in err
 
 
 class TestConfigPrecedence:
@@ -709,6 +769,11 @@ class TestOptionTable:
         ("train", ["--model", "bpr-mf", "--d", "0"], "(got K=0, C=0"),
         ("train", ["--epochs", "0"], "epochs and steps_per_epoch must be >= 1"),
         ("train", ["--rms-decay", "1.5"], "rms_decay must lie in (0, 1)"),
+        ("evaluate", ["--cutoffs", "0"], "cutoffs must be positive"),
+        ("evaluate", ["--cutoffs", "20,-5"], "cutoffs must be positive"),
+        ("evaluate", ["--cutoffs", ""], "cutoffs must be positive"),
+        ("recommend", ["-M", "0"], "M must be >= 1"),
+        ("spectral-embed", ["-k", "0"], "k=0 out of range"),
     ])
     def test_out_of_range_value_fails_before_any_file_is_read(self, tmp_path, capsys,
                                                               command, flags, message):

@@ -485,36 +485,3 @@ class TestPartialSolver:
         assert seen and max(seen) <= max(64, 4 * (k + 1))
         assert coords.shape == (g.n_vertices, k)
 
-
-class TestBasisPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(15)
-        for norm in (NORM_SYM, NORM_RW):
-            ds = random_interactions(rng)
-            basis = graph.eigendecompose(graph.build_graph(ds), norm)
-            path = tmp_path / f"{norm}.spcf"
-            graph.save_basis(basis, path)
-            back = graph.load_basis(path)
-            assert back.normalization == norm
-            assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-            assert np.array_equal(back.eigenvectors, basis.eigenvectors)
-
-    def test_header_magic(self, tmp_path, toy_set):
-        basis = graph.eigendecompose(graph.build_graph(toy_set))
-        path = tmp_path / "b.spcf"
-        graph.save_basis(basis, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SPCF"
-        with pytest.raises(ValueError):
-            graph.load_basis(__file__)
-
-    def test_short_or_padded_file_names_it(self, tmp_path, toy_set):
-        path = tmp_path / "b.spcf"
-        graph.save_basis(graph.eigendecompose(graph.build_graph(toy_set)), path)
-        raw = path.read_bytes()
-        for blob, match in [(raw[:7], "truncated"), (raw[:17], "truncated"),
-                            (raw[:-8], "truncated"), (raw + b"\0" * 8, "8 trailing bytes")]:
-            path.write_bytes(blob)
-            with pytest.raises(ValueError, match=match) as info:
-                graph.load_basis(path)
-            assert str(path) in str(info.value)
