@@ -10,6 +10,14 @@ is needed only to certify that, to filter in the frequency domain, and for
 the ``rw_raw`` normalization: eigenvectors of the random-walk Laplacian
 itself, for fidelity experiments (inverse via solve). It is computed when
 asked for and never stored.
+
+The graph is bipartite, so the Laplacian is I - [[0, B], [B^T, 0]] with
+B = D_u^{-1/2} R D_i^{-1/2}, and the full eigensystem comes from one SVD of
+the n_u x n_i block B: a singular triple (sigma, p, q) pairs [p; q]/sqrt(2)
+with eigenvalue 1 - sigma and [p; -q]/sqrt(2) with 1 + sigma, and the extra
+singular vectors of the larger side, padded with zeros, have eigenvalue 1.
+The dense (n_u + n_i)^2 Laplacian (``sym_laplacian_dense``) is built only
+for tests and the acceptance gates.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ KERNEL_CLOSED_SPARSE = "closed_sparse"
 
 _EIG_RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-9
-_RESIDUAL_BLOCK = 256  # columns per step of the dense residual, to bound its scratch
+_RESIDUAL_BLOCK = 256  # columns per step of the eigen-residual, to bound its scratch
 
 NORMALIZATIONS = (NORM_SYM, NORM_RW)
 
@@ -119,17 +127,12 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
 
 def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray):
     """Order columns within eigenvalue ties lexicographically, so the basis is deterministic."""
-    order = list(range(len(values)))
-    start = 0
-    while start < len(values):
-        stop = start + 1
-        while stop < len(values) and values[stop] - values[stop - 1] <= _TIE_TOL:
-            stop += 1
+    order = np.arange(len(values))
+    breaks = np.flatnonzero(np.diff(values) > _TIE_TOL) + 1
+    for start, stop in zip(np.r_[0, breaks], np.r_[breaks, len(values)]):
         if stop - start > 1:
-            group = sorted(order[start:stop], key=lambda c: tuple(vectors[:, c]))
-            order[start:stop] = group
-        start = stop
-    order = np.array(order)
+            # lexsort's last key is its primary one: reverse the rows so row 0 leads.
+            order[start:stop] = start + np.lexsort(vectors[::-1, start:stop])
     return values[order], vectors[:, order]
 
 
@@ -159,8 +162,36 @@ def check_coordinate_count(k: int) -> None:
         raise DimensionError(f"k={k} out of range: must be >= 1")
 
 
+def _bipartite_eigensystem(A_norm: sp.csr_matrix, n_u: int):
+    """Eigenpairs of I - A_norm from one SVD of its user-item block, laid out
+    with eigenvalues ascending; ``eigendecompose`` gives the column pairing."""
+    n = A_norm.shape[0]
+    P, sigma, Qt = np.linalg.svd(A_norm[:n_u, n_u:].toarray(), full_matrices=True)
+    r = len(sigma)
+    half = np.sqrt(0.5)
+    # sigma descends, so 1 - sigma ascends from the left, 1 + sigma (reversed)
+    # ascends to the right, and the eigenvalue-1 columns sit in between.
+    vectors = np.zeros((n, n))
+    vectors[:n_u, :r] = P[:, :r] * half
+    vectors[n_u:, :r] = Qt[:r].T * half
+    vectors[:n_u, n - r :] = P[:, r - 1 :: -1] * half
+    vectors[n_u:, n - r :] = Qt[r - 1 :: -1].T * -half
+    vectors[:n_u, r:n_u] = P[:, r:]
+    vectors[n_u:, n_u : n - r] = Qt[r:].T
+    values = np.concatenate([1.0 - sigma, np.ones(n - 2 * r), 1.0 + sigma[::-1]])
+    return values, vectors
+
+
 def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> SpectralBasis:
     """Full eigensystem of the normalized Laplacian.
+
+    The graph is bipartite, so L_sym = I - [[0, B], [B^T, 0]] with
+    B = D_u^{-1/2} R D_i^{-1/2}, and its eigensystem comes from one SVD of
+    the n_u x n_i block B: singular triple (sigma_j, p_j, q_j) gives
+    eigenvalue 1 - sigma_j with [p_j; q_j]/sqrt(2) and 1 + sigma_j with
+    [p_j; -q_j]/sqrt(2), and the remaining singular vectors of the larger
+    side, padded with zeros, give eigenvalue 1. The dense n x n Laplacian
+    is never built; the residual is checked through the sparse adjacency.
 
     The sym_orthonormal basis diagonalizes I - D^{-1/2} A D^{-1/2} with an
     orthonormal eigenbasis; rw_raw rescales it to eigenvectors of
@@ -168,18 +199,19 @@ def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> Spec
     identical in the two cases and sorted ascending, ties broken by column
     lexicographic order after making each column's first nonzero entry
     positive. Residuals above 1e-8 raise NumericError. An unknown
-    normalization raises ValueError before the Laplacian is built.
+    normalization raises ValueError before anything is decomposed.
     """
     check_normalization(normalization)
-    L = sym_laplacian_dense(graph)
-    values, vectors = np.linalg.eigh(L)
-    scratch = L @ vectors
-    del L
+    A_norm = _sym_normalized_adjacency(graph)
+    values, vectors = _bipartite_eigensystem(A_norm, graph.n_users)
+    residual = 0.0
     for start in range(0, len(values), _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        scratch[:, cols] -= vectors[:, cols] * values[cols]
-    _check_residual(np.abs(scratch, out=scratch).max())
-    del scratch
+        block = vectors[:, cols]
+        # L U - U Lambda = U (1 - Lambda) - A_norm U, one column block at a time.
+        scratch = block * (1.0 - values[cols]) - A_norm @ block
+        residual = max(residual, np.abs(scratch).max())
+    _check_residual(residual)
     vectors = _to_normalization(graph, vectors, normalization)
     values, vectors = _tie_break_degenerate(values, vectors)
     return SpectralBasis(values, vectors, normalization)

@@ -411,10 +411,10 @@ class TestKernelOptions:
         tmp_path, _, split_dir = workspace
         out_dir = tmp_path / "typo"
 
-        def no_laplacian(*args, **kwargs):
-            raise AssertionError("Laplacian built for an unknown normalization")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("eigensystem solved for an unknown normalization")
 
-        monkeypatch.setattr(cli.graph, "sym_laplacian_dense", no_laplacian)
+        monkeypatch.setattr(cli.graph.np.linalg, "svd", no_svd)
         (tmp_path / "train.cfg").write_text("normalization=sym_typo\n")
         code, _, err = self._train(capsys, split_dir, out_dir, "--kernel", "dense-eig",
                                    "--config", str(tmp_path / "train.cfg"))
@@ -439,10 +439,10 @@ class TestKernelOptions:
             self, workspace, capsys, monkeypatch):
         tmp_path, _, split_dir = workspace
 
-        def no_laplacian(*args, **kwargs):
-            raise AssertionError("Laplacian built for an unknown normalization")
+        def no_adjacency(*args, **kwargs):
+            raise AssertionError("normalized adjacency built for an unknown normalization")
 
-        monkeypatch.setattr(cli.graph, "sym_laplacian_dense", no_laplacian)
+        monkeypatch.setattr(cli.graph, "_sym_normalized_adjacency", no_adjacency)
         (tmp_path / "embed.cfg").write_text("normalization=sym_typo\n")
         code, _, err = run(capsys, [
             "spectral-embed", "--split-dir", str(split_dir), "--config",
@@ -490,6 +490,22 @@ class TestScoringKernel:
         code, _, err = self._train(capsys, split_dir, out_dir)
         assert code == 0, err
         assert files_in(out_dir) == ["loss.tsv", "model.spck"]
+
+    def test_dense_eig_training_decomposes_once_through_the_module_attribute(
+            self, workspace, capsys, monkeypatch):
+        # pipebench/spans.py times graph.eigendecompose_s by wrapping this attribute.
+        tmp_path, _, split_dir = workspace
+        calls = []
+        eigendecompose = graph.eigendecompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigendecompose(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "eigendecompose", counted)
+        code, _, err = self._train(capsys, split_dir, tmp_path / "dense")
+        assert code == 0, err
+        assert len(calls) == 1
 
     def test_sym_model_scores_with_closed_form_whatever_the_flag(
             self, workspace, capsys, monkeypatch):

@@ -132,6 +132,89 @@ class TestEigendecompose:
             nz = col[np.abs(col) > 1e-12]
             assert nz[0] > 0
 
+    @staticmethod
+    def _several_components(rng, n_users, n_items):
+        """A random n_users x n_items block with a user that repeats user 0's
+        items (so B is rank-deficient), plus three small islands."""
+        main = random_interactions(rng, min_users=n_users - 1, max_users=n_users - 1,
+                                   min_items=n_items, max_items=n_items, density=0.2)
+        R = main.to_csr().tocoo()
+        pairs = set(zip(R.row.tolist(), R.col.tolist()))
+        pairs |= {(n_users - 1, i) for u, i in pairs if u == 0}
+        twins = make_interactions(n_users, n_items, pairs)
+        islands = [make_interactions(1, 2, {(0, 0), (0, 1)}),
+                   make_interactions(2, 1, {(0, 0), (1, 0)}),
+                   make_interactions(1, 1, {(0, 0)})]
+        return graph.build_graph(disjoint_union(rng, [twins, *islands]))
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (21, 21)])
+    def test_svd_route_matches_dense_eigh(self, shape):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            g = self._several_components(rng, *shape)
+            n_u, n = g.n_users, g.n_vertices
+            L = graph.sym_laplacian_dense(g)
+            assert connected_components(g.adjacency)[0] >= 4
+            assert np.linalg.matrix_rank(L[:n_u, n_u:]) < min(n_u, n - n_u)
+            basis = graph.eigendecompose(g)
+            U, lam = basis.eigenvectors, basis.eigenvalues
+            assert np.abs(lam - np.linalg.eigvalsh(L)).max() <= 1e-12
+            assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-12
+            assert np.abs(L @ U - U * lam).max() < 1e-8
+            # The kernel is a function of L alone, whatever basis spans its eigenspaces.
+            w, V = np.linalg.eigh(L)
+            K = graph.conv_kernel(g, basis, KERNEL_DENSE_EIG).matrix
+            assert np.abs(K - (V * (1.0 + w)) @ V.T).max() <= 1e-12
+
+    def test_large_unit_cluster_is_bit_identical_across_calls(self):
+        rng = np.random.default_rng(6)
+        g = graph.build_graph(random_interactions(rng, min_users=120, max_users=120,
+                                                  min_items=10, max_items=10))
+        a, b = graph.eigendecompose(g), graph.eigendecompose(g)
+        assert int((np.abs(a.eigenvalues - 1.0) <= 1e-9).sum()) >= 110
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_builds_no_dense_laplacian_and_calls_no_eigh(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("eigendecompose built or diagonalized the dense Laplacian")
+
+        monkeypatch.setattr(graph, "sym_laplacian_dense", dense)
+        monkeypatch.setattr(np.linalg, "eigh", dense)
+        rng = np.random.default_rng(7)
+        g = graph.build_graph(random_interactions(rng))
+        for normalization in (NORM_SYM, NORM_RW):
+            assert graph.eigendecompose(g, normalization).n_vertices == g.n_vertices
+
+
+def tie_break_by_tuples(values, vectors):
+    """Reference tie-break: each run of eigenvalues within _TIE_TOL of the
+    previous one sorted by its columns as tuples, a stable sort."""
+    order = list(range(len(values)))
+    start = 0
+    while start < len(values):
+        stop = start + 1
+        while stop < len(values) and values[stop] - values[stop - 1] <= graph._TIE_TOL:
+            stop += 1
+        order[start:stop] = sorted(order[start:stop], key=lambda c: tuple(vectors[:, c]))
+        start = stop
+    return values[order], vectors[:, order]
+
+
+def test_tie_break_matches_tuple_sort():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        # Few distinct entries, so leading entries tie and whole columns repeat;
+        # eigenvalues in runs, some chained by gaps below the tolerance.
+        vectors = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, m))
+        vectors[:, rng.integers(m, size=m // 3)] = vectors[:, rng.integers(m, size=m // 3)]
+        values = np.sort(rng.choice([0.0, 0.5, 0.5 + 6e-10, 0.5 + 1.2e-9, 1.0, 2.0], size=m))
+        got = graph._tie_break_degenerate(values, vectors)
+        want = tie_break_by_tuples(values, vectors)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
 
 class TestFourier:
     def test_round_trip(self):
