@@ -74,9 +74,7 @@ OPTIONS = {
                     help="model"),
     "kernel": Option("--kernel", default=graph.KERNEL_CLOSED_SPARSE,
                      choices=(graph.KERNEL_CLOSED_SPARSE, graph.KERNEL_DENSE_EIG),
-                     help="kernel form (scoring uses closed-sparse for sym_orthonormal)"),
-    "normalization": Option("--normalization", default=graph.NORM_SYM,
-                            choices=graph.NORMALIZATIONS, help="normalization"),
+                     help="kernel form (scoring always uses closed-sparse)"),
     "K": Option("-K", int, 3, help="number of propagation layers"),
     "C": Option("-C", int, 16, help="input factor width"),
     "F": Option("-F", int, 16, help="per-layer factor width"),
@@ -103,12 +101,11 @@ OPTIONS = {
 # The options each command takes, by OPTIONS key.
 COMMAND_OPTIONS = {
     "split": ("seed", "format", "protocol", "fraction", "p", "min_interactions"),
-    "train": ("seed", "model", "kernel", "normalization", "K", "C", "F", "d", "reg",
-              "batch_size", "epochs", "lr", "rms_decay", "rms_epsilon", "steps_per_epoch",
-              "reg_scope"),
-    "evaluate": ("seed", "kernel", "normalization", "cutoffs", "map_denom"),
-    "recommend": ("seed", "kernel", "normalization", "M"),
-    "spectral-embed": ("seed", "format", "normalization", "k"),
+    "train": ("seed", "model", "kernel", "K", "C", "F", "d", "reg", "batch_size", "epochs",
+              "lr", "rms_decay", "rms_epsilon", "steps_per_epoch", "reg_scope"),
+    "evaluate": ("seed", "kernel", "cutoffs", "map_denom"),
+    "recommend": ("seed", "kernel", "M"),
+    "spectral-embed": ("seed", "format", "k"),
 }
 
 
@@ -190,10 +187,10 @@ def cmd_split(args) -> int:
 # train
 
 
-def _build_kernel(train_set, form: str, normalization: str) -> graph.ConvKernel:
+def _build_kernel(train_set, form: str) -> graph.ConvKernel:
     """The propagation kernel of ``form``; only dense_eig needs the eigensystem."""
     g = graph.build_graph(train_set)
-    basis = graph.eigendecompose(g, normalization) if form == graph.KERNEL_DENSE_EIG else None
+    basis = graph.eigendecompose(g) if form == graph.KERNEL_DENSE_EIG else None
     return graph.conv_kernel(g, basis, form)
 
 
@@ -223,7 +220,7 @@ def cmd_train(args) -> int:
     if bpr_mf:
         params, history = baselines.fit_bpr_mf(train_set, args.d, tc, init_seed=args.seed)
     else:
-        kernel = _build_kernel(train_set, args.kernel, args.normalization)
+        kernel = _build_kernel(train_set, args.kernel)
         params, history = training.train(train_set, kernel, mc, tc)
 
     # Both files are replaced only once training has succeeded, each atomically.
@@ -243,15 +240,14 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set,
-                            normalization: str) -> model.FactorTable:
+def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set) -> model.FactorTable:
     """The checkpoint's factors over ``train_set``: the one scorer type of
     ``evaluate`` and ``recommend``. At K = 0 no graph or kernel is built.
 
-    The kernel depends on the normalization alone. In the orthonormal
-    sym_orthonormal basis U U^T = I, so the eigen-product is the sparse
-    closed form (acceptance gate 1 certifies the two agree), whatever
-    ``--kernel`` says; only an rw_raw model needs its eigensystem.
+    A K > 0 model is scored with the sparse closed form, whatever
+    ``--kernel`` says: in the orthonormal eigenbasis U U^T = I, so the
+    eigen-product is the closed form (acceptance gate 1 certifies the two
+    agree).
     """
     params = ckpt.params
     if (params.n_users, params.n_items) != (train_set.n_users, train_set.n_items):
@@ -259,19 +255,14 @@ def _scorer_from_checkpoint(ckpt: SpectralCheckpoint, train_set,
             f"checkpoint is for {params.n_users} users x {params.n_items} items, "
             f"split has {train_set.n_users} x {train_set.n_items}"
         )
-    kernel = None
-    if ckpt.config.K:
-        form = (graph.KERNEL_DENSE_EIG if normalization == graph.NORM_RW
-                else graph.KERNEL_CLOSED_SPARSE)
-        kernel = _build_kernel(train_set, form, normalization)
+    kernel = _build_kernel(train_set, graph.KERNEL_CLOSED_SPARSE) if ckpt.config.K else None
     return model.forward(params, kernel, ckpt.config)[0]
 
 
 def cmd_evaluate(args) -> int:
     evaluation.check_cutoffs(args.cutoffs)  # before the split is read
     split = data.load_split(args.split_dir)
-    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), split.train,
-                                      args.normalization)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), split.train)
     report = evaluation.evaluate(factors, split, args.cutoffs, map_denom=args.map_denom)
 
     out = _out_dir(args)
@@ -300,8 +291,7 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     model.check_list_length(args.M)  # before the split is read
     train_set = data.load_train(args.split_dir)
-    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), train_set,
-                                      args.normalization)
+    factors = _scorer_from_checkpoint(load_checkpoint(args.checkpoint), train_set)
 
     try:
         u = train_set.user_ids.index(args.user)
@@ -330,7 +320,7 @@ def cmd_spectral_embed(args) -> int:
             dataset = data.to_implicit(data.parse_interactions(fh, args.format))
 
     g = graph.build_graph(dataset)
-    coords = graph.spectral_coordinates(g, args.k, args.normalization)
+    coords = graph.spectral_coordinates(g, args.k)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -432,10 +422,6 @@ def parse_args(argv=None) -> argparse.Namespace:
             value = OPTIONS[key].default
         if getattr(args, key) is None:
             setattr(args, key, value)
-    if (getattr(args, "kernel", None) == graph.KERNEL_CLOSED_SPARSE
-            and args.normalization != graph.NORM_SYM):
-        raise ValueError(f"the closed-sparse kernel needs normalization {graph.NORM_SYM!r}, "
-                         f"not {args.normalization!r}")
     return args
 
 

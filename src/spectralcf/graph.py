@@ -1,15 +1,13 @@
 """Bipartite graph construction, Laplacian eigensystem and spectral filtering.
 
-The vertex set stacks users first, items second. The default eigenbasis is
-the orthonormal eigensystem of the symmetric normalized Laplacian
+The vertex set stacks users first, items second. The eigenbasis is the
+orthonormal eigensystem of the symmetric normalized Laplacian
 I - D^{-1/2} A D^{-1/2}, which shares its spectrum with the random-walk
 Laplacian I - D^{-1} A and makes the Fourier-transform identities exact.
 In that basis U U^T = I, so the propagation kernel U U^T + U Lambda U^T is
 the sparse closed form 2I - D^{-1/2} A D^{-1/2}, and the dense eigensystem
-is needed only to certify that, to filter in the frequency domain, and for
-the ``rw_raw`` normalization: eigenvectors of the random-walk Laplacian
-itself, for fidelity experiments (inverse via solve). It is computed when
-asked for and never stored.
+is needed only to certify that and to filter in the frequency domain. It is
+computed when asked for and never stored.
 
 The graph is bipartite, so the Laplacian is I - [[0, B], [B^T, 0]] with
 B = D_u^{-1/2} R D_i^{-1/2}, and the full eigensystem comes from one SVD of
@@ -32,17 +30,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .data import InteractionSet
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
 
-NORM_SYM = "sym_orthonormal"
-NORM_RW = "rw_raw"
-
 KERNEL_DENSE_EIG = "dense_eig"
 KERNEL_CLOSED_SPARSE = "closed_sparse"
 
 _EIG_RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-9
 _RESIDUAL_BLOCK = 256  # columns per step of the eigen-residual, to bound its scratch
-
-NORMALIZATIONS = (NORM_SYM, NORM_RW)
 
 
 @dataclass
@@ -65,7 +58,6 @@ class SpectralBasis:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    normalization: str
 
     @property
     def n_vertices(self) -> int:
@@ -125,35 +117,22 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray):
-    """Order columns within eigenvalue ties lexicographically, so the basis is deterministic."""
+def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Order columns within eigenvalue ties lexicographically, so the basis is
+    deterministic. The values keep their order, so they stay ascending; the
+    caller's residual check certifies the re-pairing."""
     order = np.arange(len(values))
     breaks = np.flatnonzero(np.diff(values) > _TIE_TOL) + 1
     for start, stop in zip(np.r_[0, breaks], np.r_[breaks, len(values)]):
         if stop - start > 1:
             # lexsort's last key is its primary one: reverse the rows so row 0 leads.
             order[start:stop] = start + np.lexsort(vectors[::-1, start:stop])
-    return values[order], vectors[:, order]
+    return vectors[:, order]
 
 
 def _check_residual(residual: float) -> None:
     if residual > _EIG_RESIDUAL_TOL:
         raise NumericError(f"eigensolver residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL}")
-
-
-def _to_normalization(graph: BipartiteGraph, vectors: np.ndarray, normalization: str):
-    """Eigenvectors of L_sym as those of ``normalization``, sign made canonical."""
-    if normalization == NORM_RW:
-        # L_rw = D^{-1/2} L_sym D^{1/2}: same spectrum, rescaled eigenvectors.
-        d_inv_sqrt = 1.0 / np.sqrt(graph.degree.astype(np.float64))
-        vectors = d_inv_sqrt[:, None] * vectors
-        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    return _canonical_sign(vectors)
-
-
-def check_normalization(normalization: str) -> None:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization: {normalization!r}")
 
 
 def check_coordinate_count(k: int) -> None:
@@ -182,8 +161,8 @@ def _bipartite_eigensystem(A_norm: sp.csr_matrix, n_u: int):
     return values, vectors
 
 
-def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> SpectralBasis:
-    """Full eigensystem of the normalized Laplacian.
+def eigendecompose(graph: BipartiteGraph) -> SpectralBasis:
+    """Full orthonormal eigensystem of I - D^{-1/2} A D^{-1/2}.
 
     The graph is bipartite, so L_sym = I - [[0, B], [B^T, 0]] with
     B = D_u^{-1/2} R D_i^{-1/2}, and its eigensystem comes from one SVD of
@@ -193,17 +172,14 @@ def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> Spec
     side, padded with zeros, give eigenvalue 1. The dense n x n Laplacian
     is never built; the residual is checked through the sparse adjacency.
 
-    The sym_orthonormal basis diagonalizes I - D^{-1/2} A D^{-1/2} with an
-    orthonormal eigenbasis; rw_raw rescales it to eigenvectors of
-    I - D^{-1} A (unit 2-norm columns, no orthogonality). Eigenvalues are
-    identical in the two cases and sorted ascending, ties broken by column
-    lexicographic order after making each column's first nonzero entry
-    positive. Residuals above 1e-8 raise NumericError. An unknown
-    normalization raises ValueError before anything is decomposed.
+    Eigenvalues are ascending. Each column's first nonzero entry is made
+    positive, then columns within a tie are ordered lexicographically. The
+    residual of the final pairing above 1e-8 raises NumericError.
     """
-    check_normalization(normalization)
     A_norm = _sym_normalized_adjacency(graph)
     values, vectors = _bipartite_eigensystem(A_norm, graph.n_users)
+    vectors = _canonical_sign(vectors)
+    vectors = _tie_break_degenerate(values, vectors)
     residual = 0.0
     for start in range(0, len(values), _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
@@ -212,9 +188,7 @@ def eigendecompose(graph: BipartiteGraph, normalization: str = NORM_SYM) -> Spec
         scratch = block * (1.0 - values[cols]) - A_norm @ block
         residual = max(residual, np.abs(scratch).max())
     _check_residual(residual)
-    vectors = _to_normalization(graph, vectors, normalization)
-    values, vectors = _tie_break_degenerate(values, vectors)
-    return SpectralBasis(values, vectors, normalization)
+    return SpectralBasis(values, vectors)
 
 
 def _check_signal(basis: SpectralBasis, signal: np.ndarray, name: str) -> np.ndarray:
@@ -229,9 +203,7 @@ def _check_signal(basis: SpectralBasis, signal: np.ndarray, name: str) -> np.nda
 def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
     """Forward graph Fourier transform of a vertex signal."""
     signal = _check_signal(basis, signal, "signal")
-    if basis.normalization == NORM_SYM:
-        return basis.eigenvectors.T @ signal
-    return np.linalg.solve(basis.eigenvectors, signal)
+    return basis.eigenvectors.T @ signal
 
 
 def igft(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
@@ -287,8 +259,8 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
 
     ``dense_eig`` evaluates the eigen-products literally from the basis;
     ``closed_sparse`` uses the equivalent sparse closed form
-    2I - D^{-1/2} A D^{-1/2}, valid only for the sym_orthonormal basis
-    (where U U^T = I). The two agree to 1e-8 in Frobenius norm.
+    2I - D^{-1/2} A D^{-1/2}, equal to it because the basis is orthonormal
+    (U U^T = I). The two agree to 1e-8 in Frobenius norm.
     """
     if form == KERNEL_DENSE_EIG:
         if basis is None:
@@ -297,8 +269,6 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
         K = (U * (1.0 + basis.eigenvalues)) @ U.T
         return ConvKernel(K)
     if form == KERNEL_CLOSED_SPARSE:
-        if basis is not None and basis.normalization != NORM_SYM:
-            raise ValueError("closed_sparse kernel is only valid for the sym_orthonormal basis")
         A_norm = _sym_normalized_adjacency(graph)
         K = (2.0 * sp.identity(graph.n_vertices, format="csr") - A_norm).tocsr()
         return ConvKernel(K)
@@ -327,8 +297,7 @@ def _top_pairs(block: sp.csr_matrix, count: int):
     return mu[::-1], vectors[:, ::-1]
 
 
-def spectral_coordinates(graph: BipartiteGraph, k: int,
-                         normalization: str = NORM_SYM) -> np.ndarray:
+def spectral_coordinates(graph: BipartiteGraph, k: int) -> np.ndarray:
     """Vertex coordinates from the k smallest nonzero Laplacian eigenvalues.
 
     Every connected component contributes one eigenvalue 0, whose eigenvector
@@ -338,11 +307,9 @@ def spectral_coordinates(graph: BipartiteGraph, k: int,
     Laplacian eigenvalue 1 - mu), its top pair (mu = 1) is dropped, and the k
     smallest Laplacian eigenvalues of the pool are kept, ties in component
     order. Memory is O(nk) plus the small dense blocks. Columns are unit
-    eigenvectors of I - D^{-1/2} A D^{-1/2}, rescaled for ``rw_raw`` as in
-    ``eigendecompose``, first nonzero entry positive. Residuals above 1e-8
-    raise NumericError; an unknown normalization raises ValueError first.
+    eigenvectors of I - D^{-1/2} A D^{-1/2}, first nonzero entry positive.
+    Residuals above 1e-8 raise NumericError.
     """
-    check_normalization(normalization)
     check_coordinate_count(k)
     A_norm = _sym_normalized_adjacency(graph)
     n = graph.n_vertices
@@ -366,4 +333,4 @@ def spectral_coordinates(graph: BipartiteGraph, k: int,
         coords[vertices, j] = u
     residual = coords - A_norm @ coords - coords * lam
     _check_residual(np.abs(residual).max())
-    return _to_normalization(graph, coords, normalization)
+    return _canonical_sign(coords)

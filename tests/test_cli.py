@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spectralcf import cli, data, evaluation, graph, model
+from spectralcf import cli, graph
 from spectralcf.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -384,72 +384,7 @@ class TestTrainEvaluateRecommend:
 
 
 class TestKernelOptions:
-    """The kernel form and normalization are checked before any work."""
-
-    def _train(self, capsys, split_dir, out_dir, *extra):
-        return run(capsys, [
-            "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
-            "-K", "2", "-C", "4", "-F", "4", "--epochs", "3", "--batch-size", "8", *extra,
-        ])
-
-    @pytest.mark.parametrize("option", ["flag", "config"])
-    def test_closed_sparse_rejects_other_normalizations(self, workspace, capsys, option):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "norm"
-        if option == "flag":
-            extra = ("--normalization", "rw_raw")
-        else:
-            (tmp_path / "train.cfg").write_text("normalization=sym_typo\n")
-            extra = ("--config", str(tmp_path / "train.cfg"))
-        code, _, err = self._train(capsys, split_dir, out_dir, *extra)
-        assert code == 1
-        assert "normalization" in err and ("closed-sparse" in err or "sym_typo" in err)
-        assert not (out_dir / "model.spck").exists()
-
-    def test_dense_eig_rejects_unknown_normalization_before_eigendecomposition(
-            self, workspace, capsys, monkeypatch):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "typo"
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("eigensystem solved for an unknown normalization")
-
-        monkeypatch.setattr(cli.graph.np.linalg, "svd", no_svd)
-        (tmp_path / "train.cfg").write_text("normalization=sym_typo\n")
-        code, _, err = self._train(capsys, split_dir, out_dir, "--kernel", "dense-eig",
-                                   "--config", str(tmp_path / "train.cfg"))
-        assert code == 1
-        assert "unknown normalization: 'sym_typo'" in err
-        assert files_in(out_dir) == []
-
-    def test_evaluate_rejects_normalization_the_kernel_ignores(self, workspace, capsys):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "eval"
-        code, _, err = self._train(capsys, split_dir, out_dir)
-        assert code == 0, err
-        code, _, err = run(capsys, [
-            "evaluate", "--split-dir", str(split_dir), "--checkpoint",
-            str(out_dir / "model.spck"), "--normalization", "rw_raw", "--out-dir", str(out_dir),
-        ])
-        assert code == 1
-        assert "closed-sparse" in err
-        assert not (out_dir / "report.tsv").exists()
-
-    def test_spectral_embed_rejects_unknown_normalization_before_laplacian(
-            self, workspace, capsys, monkeypatch):
-        tmp_path, _, split_dir = workspace
-
-        def no_adjacency(*args, **kwargs):
-            raise AssertionError("normalized adjacency built for an unknown normalization")
-
-        monkeypatch.setattr(cli.graph, "_sym_normalized_adjacency", no_adjacency)
-        (tmp_path / "embed.cfg").write_text("normalization=sym_typo\n")
-        code, _, err = run(capsys, [
-            "spectral-embed", "--split-dir", str(split_dir), "--config",
-            str(tmp_path / "embed.cfg"), "--out-dir", str(tmp_path / "embed"),
-        ])
-        assert code == 1
-        assert "unknown normalization: 'sym_typo'" in err
+    """A K = 0 model is scored with no kernel, whatever the kernel form."""
 
     def test_bpr_mf_evaluated_with_dense_eig_needs_no_eigendecomposition(
             self, workspace, capsys, monkeypatch):
@@ -474,14 +409,13 @@ class TestKernelOptions:
 
 
 class TestScoringKernel:
-    """evaluate and recommend take the kernel from the normalization alone: the
-    closed form for sym_orthonormal, the eigen-product for rw_raw."""
+    """evaluate and recommend score every K > 0 model with the closed form."""
 
-    def _train(self, capsys, split_dir, out_dir, *extra):
+    def _train(self, capsys, split_dir, out_dir):
         return run(capsys, [
             "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
             "-K", "2", "-C", "4", "-F", "4", "--epochs", "3", "--batch-size", "8",
-            "--kernel", "dense-eig", *extra,
+            "--kernel", "dense-eig",
         ])
 
     def test_dense_eig_training_writes_only_model_and_loss_log(self, workspace, capsys):
@@ -515,7 +449,7 @@ class TestScoringKernel:
         assert code == 0, err
 
         def no_eig(*args, **kwargs):
-            raise AssertionError("a sym_orthonormal model was scored from its eigensystem")
+            raise AssertionError("a K > 0 model was scored from its eigensystem")
 
         monkeypatch.setattr(cli.graph, "eigendecompose", no_eig)
         score_dir = tmp_path / "scored"
@@ -531,46 +465,6 @@ class TestScoringKernel:
             assert code == 0, err
             outputs[form] = ((score_dir / f"{form}.tsv").read_bytes(), out)
         assert outputs["dense-eig"] == outputs["closed-sparse"]
-
-    def test_rw_raw_model_scores_with_its_eigen_product(self, workspace, capsys):
-        tmp_path, _, split_dir = workspace
-        out_dir = tmp_path / "rw"
-        norm = ("--normalization", "rw_raw")
-        code, _, err = self._train(capsys, split_dir, out_dir, *norm)
-        assert code == 0, err
-        ckpt = load_checkpoint(out_dir / "model.spck")
-        split = data.load_split(split_dir)
-        train = split.train
-        g = graph.build_graph(train)
-
-        def factors_of(kernel):
-            return model.forward(ckpt.params, kernel, ckpt.config)[0]
-
-        factors = factors_of(graph.conv_kernel(g, graph.eigendecompose(g, "rw_raw"),
-                                               "dense_eig"))
-        # The closed form scores differently, so the comparisons below can fail.
-        closed = factors_of(graph.conv_kernel(g, None, "closed_sparse"))
-        assert not np.allclose(factors.V_u, closed.V_u)
-
-        common = ["--split-dir", str(split_dir), "--checkpoint", str(out_dir / "model.spck"),
-                  "--out-dir", str(out_dir), "--kernel", "dense-eig", *norm]
-        code, _, err = run(capsys, ["evaluate", *common, "--cutoffs", "2,4"])
-        assert code == 0, err
-        expected = tmp_path / "expected.tsv"
-        evaluation.save_report(evaluation.evaluate(factors, split, [2, 4]), expected)
-
-        def metric_lines(path):
-            return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-
-        assert metric_lines(out_dir / "report.tsv") == metric_lines(expected)
-
-        for u in range(3):
-            code, out, err = run(capsys, ["recommend", *common, "--user", train.user_ids[u],
-                                          "-M", "5"])
-            assert code == 0, err
-            scores = (factors.V_u[[u]] @ factors.V_i.T)[0]
-            assert out == "".join(f"{train.item_ids[i]}\t{scores[i]:.10f}\n"
-                                  for i in model.top_m(scores, train.items_of(u), 5))
 
 
 class TestCorruptFiles:
@@ -711,8 +605,7 @@ def required_argv(command, missing):
 
 
 def command_of(key):
-    """The last command taking ``key``: spectral-embed for normalization, which
-    takes no kernel, so every normalization is valid there."""
+    """The last command taking ``key``; every command reads an option alike."""
     return [c for c, keys in cli.COMMAND_OPTIONS.items() if key in keys][-1]
 
 
@@ -799,16 +692,23 @@ class TestOptionTable:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_config_key_fails(self, workspace, capsys):
+    def test_unknown_config_key_fails(self, workspace, capsys, monkeypatch):
         tmp_path, _, split_dir = workspace
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("split read despite an unknown config key")
+
+        monkeypatch.setattr(cli.data, "load_train", no_read)
         config = tmp_path / "run.cfg"
-        config.write_text("epoch=3\n")
         out_dir = tmp_path / "typo"
-        code, out, err = run(capsys, ["train", "--split-dir", str(split_dir), "--config",
-                                      str(config), "--out-dir", str(out_dir)])
-        assert code == 1
-        assert err == f"error: {config}: unknown key 'epoch'\n"
-        assert out == "" and not out_dir.exists()
+        # A misspelt key, and the key of the removed normalization option.
+        for key, value in (("epoch", "3"), ("normalization", "sym_orthonormal")):
+            config.write_text(f"{key}={value}\n")
+            code, out, err = run(capsys, ["train", "--split-dir", str(split_dir), "--config",
+                                          str(config), "--out-dir", str(out_dir)])
+            assert code == 1
+            assert err == f"error: {config}: unknown key '{key}'\n"
+            assert out == "" and not out_dir.exists()
 
     def test_one_config_serves_every_command(self, workspace, capsys):
         tmp_path, _, split_dir = workspace

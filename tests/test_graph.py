@@ -5,12 +5,7 @@ from scipy.sparse.csgraph import connected_components
 
 from spectralcf import graph
 from spectralcf.errors import DegenerateInterpolationError, DimensionError
-from spectralcf.graph import (
-    KERNEL_CLOSED_SPARSE,
-    KERNEL_DENSE_EIG,
-    NORM_RW,
-    NORM_SYM,
-)
+from spectralcf.graph import KERNEL_CLOSED_SPARSE, KERNEL_DENSE_EIG
 
 from conftest import make_interactions, random_interactions, two_community_dataset
 
@@ -80,7 +75,7 @@ class TestEigendecompose:
             basis = graph.eigendecompose(graph.build_graph(ds))
             n = basis.n_vertices
             assert np.allclose(basis.eigenvectors.T @ basis.eigenvectors, np.eye(n), atol=1e-10)
-            assert (np.diff(basis.eigenvalues) >= -1e-12).all()
+            assert np.diff(basis.eigenvalues).min() >= 0
 
     def test_eigen_residual(self):
         rng = np.random.default_rng(2)
@@ -110,18 +105,6 @@ class TestEigendecompose:
         expected = np.sqrt(g.degree.astype(float))
         expected /= np.linalg.norm(expected)
         assert np.allclose(np.abs(v), expected, atol=1e-10)
-
-    def test_rw_basis_diagonalizes_random_walk_laplacian(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            ds = random_interactions(rng)
-            g = graph.build_graph(ds)
-            basis = graph.eigendecompose(g, NORM_RW)
-            a = g.adjacency.toarray()
-            L_rw = np.eye(g.n_vertices) - a / g.degree[:, None]
-            res = L_rw @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues
-            assert np.abs(res).max() < 1e-8
-            assert np.allclose(np.linalg.norm(basis.eigenvectors, axis=0), 1.0)
 
     def test_sign_canonicalization_deterministic(self, toy_set):
         g = graph.build_graph(toy_set)
@@ -159,6 +142,8 @@ class TestEigendecompose:
             basis = graph.eigendecompose(g)
             U, lam = basis.eigenvectors, basis.eigenvalues
             assert np.abs(lam - np.linalg.eigvalsh(L)).max() <= 1e-12
+            # Ties hold values that differ in the last bits; they must still ascend.
+            assert np.diff(lam).min() >= 0
             assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-12
             assert np.abs(L @ U - U * lam).max() < 1e-8
             # The kernel is a function of L alone, whatever basis spans its eigenspaces.
@@ -183,13 +168,12 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", dense)
         rng = np.random.default_rng(7)
         g = graph.build_graph(random_interactions(rng))
-        for normalization in (NORM_SYM, NORM_RW):
-            assert graph.eigendecompose(g, normalization).n_vertices == g.n_vertices
+        assert graph.eigendecompose(g).n_vertices == g.n_vertices
 
 
 def tie_break_by_tuples(values, vectors):
-    """Reference tie-break: each run of eigenvalues within _TIE_TOL of the
-    previous one sorted by its columns as tuples, a stable sort."""
+    """Reference tie-break: the columns of each run of eigenvalues within
+    _TIE_TOL of the previous one sorted as tuples, a stable sort."""
     order = list(range(len(values)))
     start = 0
     while start < len(values):
@@ -198,7 +182,7 @@ def tie_break_by_tuples(values, vectors):
             stop += 1
         order[start:stop] = sorted(order[start:stop], key=lambda c: tuple(vectors[:, c]))
         start = stop
-    return values[order], vectors[:, order]
+    return vectors[:, order]
 
 
 def test_tie_break_matches_tuple_sort():
@@ -211,9 +195,7 @@ def test_tie_break_matches_tuple_sort():
         vectors[:, rng.integers(m, size=m // 3)] = vectors[:, rng.integers(m, size=m // 3)]
         values = np.sort(rng.choice([0.0, 0.5, 0.5 + 6e-10, 0.5 + 1.2e-9, 1.0, 2.0], size=m))
         got = graph._tie_break_degenerate(values, vectors)
-        want = tie_break_by_tuples(values, vectors)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert got.tobytes() == tie_break_by_tuples(values, vectors).tobytes()
 
 
 class TestFourier:
@@ -238,13 +220,6 @@ class TestFourier:
         out = graph.gft(basis, np.array([1.0, 0.0]))
         r = 1 / np.sqrt(2)
         assert out == pytest.approx([r, r])
-
-    def test_rw_round_trip_via_solve(self):
-        rng = np.random.default_rng(6)
-        ds = random_interactions(rng)
-        basis = graph.eigendecompose(graph.build_graph(ds), NORM_RW)
-        x = rng.standard_normal(basis.n_vertices)
-        assert np.abs(graph.igft(basis, graph.gft(basis, x)) - x).max() < 1e-8
 
     def test_dimension_error(self, toy_set):
         basis = graph.eigendecompose(graph.build_graph(toy_set))
@@ -376,14 +351,6 @@ class TestConvKernel:
         dense = graph.conv_kernel(g, basis, KERNEL_DENSE_EIG)
         assert np.abs(dense.matrix - dense.matrix.T).max() < 1e-10
 
-    def test_rw_closed_sparse_rejected(self):
-        rng = np.random.default_rng(13)
-        ds = random_interactions(rng)
-        g = graph.build_graph(ds)
-        basis = graph.eigendecompose(g, NORM_RW)
-        with pytest.raises(ValueError):
-            graph.conv_kernel(g, basis, KERNEL_CLOSED_SPARSE)
-
     def test_apply_matches_matmul(self):
         rng = np.random.default_rng(14)
         ds = random_interactions(rng)
@@ -452,28 +419,25 @@ def disjoint_union(rng, blocks):
     return make_interactions(n_u, n_i, {(int(pu[u]), int(pi[i])) for u, i in pairs})
 
 
-def dense_laplacian(g, normalization):
-    """I - D^-1/2 A D^-1/2, or I - D^-1 A for rw_raw, from the definition."""
+def dense_laplacian(g):
+    """I - D^-1/2 A D^-1/2 from the definition."""
     A = g.adjacency.toarray().astype(np.float64)
     d = g.degree.astype(np.float64)
-    if normalization == NORM_SYM:
-        return np.eye(g.n_vertices) - A / np.sqrt(np.outer(d, d))
-    return np.eye(g.n_vertices) - A / d[:, None]
+    return np.eye(g.n_vertices) - A / np.sqrt(np.outer(d, d))
 
 
-def assert_matches_full_eigensystem(g, k, normalization):
-    """The k columns are unit eigenvectors of the Laplacian for the k smallest
-    nonzero eigenvalues of the full eigensystem, and span its eigenspaces: all
-    of those below the k-th eigenvalue, and a part of the k-th one's."""
-    coords = graph.spectral_coordinates(g, k, normalization)
-    basis = graph.eigendecompose(g, normalization)
+def assert_matches_full_eigensystem(g, k):
+    """The k columns are orthonormal eigenvectors of the Laplacian for the k
+    smallest nonzero eigenvalues of the full eigensystem, and span its
+    eigenspaces: all of those below the k-th eigenvalue, and a part of the
+    k-th one's."""
+    coords = graph.spectral_coordinates(g, k)
+    basis = graph.eigendecompose(g)
     nonzero = basis.eigenvalues > 1e-8
     want = basis.eigenvalues[nonzero][:k]
-    L = dense_laplacian(g, normalization)
+    L = dense_laplacian(g)
     assert coords.shape == (g.n_vertices, k)
-    assert np.allclose(np.linalg.norm(coords, axis=0), 1.0, atol=1e-10)
-    if normalization == NORM_SYM:
-        assert np.abs(coords.T @ coords - np.eye(k)).max() <= 1e-10
+    assert np.abs(coords.T @ coords - np.eye(k)).max() <= 1e-10
     lam = np.einsum("ij,ij->j", coords, L @ coords)
     assert np.abs(lam - want).max() <= 1e-10
     assert np.abs(L @ coords - coords * lam).max() <= 1e-8
@@ -490,8 +454,7 @@ class TestPartialSolver:
     ISLANDS = [make_interactions(1, 2, {(0, 0), (0, 1)}),
                make_interactions(2, 1, {(0, 0), (1, 0)})]
 
-    @pytest.mark.parametrize("normalization", [NORM_SYM, NORM_RW])
-    def test_random_multi_component_graphs(self, normalization):
+    def test_random_multi_component_graphs(self):
         rng = np.random.default_rng(30)
         for trial in range(6):
             twin = random_interactions(rng)
@@ -501,10 +464,9 @@ class TestPartialSolver:
             g = graph.build_graph(disjoint_union(rng, blocks))
             k_max = g.n_vertices - connected_components(g.adjacency)[0]
             for k in (1, 2, 3, 7, int(rng.integers(8, k_max)), k_max):
-                assert_matches_full_eigensystem(g, k, normalization)
+                assert_matches_full_eigensystem(g, k)
 
-    @pytest.mark.parametrize("normalization", [NORM_SYM, NORM_RW])
-    def test_k_reaching_into_the_unit_cluster(self, normalization):
+    def test_k_reaching_into_the_unit_cluster(self):
         # 10 users and 100 items: at most 10 eigenvalues below 1, then 1
         # repeated; k = 12 and 20 solve the 110-vertex block with eigsh.
         rng = np.random.default_rng(31)
@@ -514,14 +476,14 @@ class TestPartialSolver:
         hub = make_interactions(10, 100, pairs)
         g = graph.build_graph(disjoint_union(rng, [hub, *self.ISLANDS]))
         for k in (9, 12, 20, 40, g.n_vertices - 3):
-            assert_matches_full_eigensystem(g, k, normalization)
+            assert_matches_full_eigensystem(g, k)
 
     def test_components_smaller_than_k_plus_one(self):
         rng = np.random.default_rng(32)
         edge = make_interactions(1, 1, {(0, 0)})
         g = graph.build_graph(disjoint_union(rng, [edge, edge, *self.ISLANDS]))
         for k in range(1, g.n_vertices - 4 + 1):
-            assert_matches_full_eigensystem(g, k, NORM_SYM)
+            assert_matches_full_eigensystem(g, k)
         with pytest.raises(DimensionError):
             graph.spectral_coordinates(g, g.n_vertices - 4 + 1)
 
@@ -540,7 +502,7 @@ class TestPartialSolver:
                 pairs |= {(u, prev), (u, i)}
                 prev, u, i = i, u + 1, i + 1
         g = graph.build_graph(make_interactions(u, i, pairs))
-        assert_matches_full_eigensystem(g, 4, NORM_SYM)
+        assert_matches_full_eigensystem(g, 4)
 
     def test_dense_solves_stay_small_on_a_large_graph(self, monkeypatch):
         # 6k vertices: a sparse random giant plus 3-vertex islands. Dense eigh
