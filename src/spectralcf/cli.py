@@ -85,7 +85,6 @@ OPTIONS = {
     "lr": Option("--lr", float, 1e-3, help="learning rate"),
     "rms_decay": Option("--rms-decay", float, 0.9, help="RMSprop decay"),
     "rms_epsilon": Option("--rms-epsilon", float, 1e-8, help="RMSprop epsilon"),
-    "steps_per_epoch": Option("--steps-per-epoch", int, 1, help="training steps per epoch"),
     "reg_scope": Option("--reg-scope", default=training.REG_FULL,
                         choices=(training.REG_FULL, training.REG_BATCH_ROWS),
                         help="regularization scope"),
@@ -102,7 +101,7 @@ OPTIONS = {
 COMMAND_OPTIONS = {
     "split": ("seed", "format", "protocol", "fraction", "p", "min_interactions"),
     "train": ("seed", "model", "kernel", "K", "C", "F", "d", "reg", "batch_size", "epochs",
-              "lr", "rms_decay", "rms_epsilon", "steps_per_epoch", "reg_scope"),
+              "lr", "rms_decay", "rms_epsilon", "reg_scope"),
     "evaluate": ("seed", "kernel", "cutoffs", "map_denom"),
     "recommend": ("seed", "kernel", "M"),
     "spectral-embed": ("seed", "format", "k"),
@@ -204,7 +203,6 @@ def cmd_train(args) -> int:
         rms_decay=args.rms_decay,
         rms_epsilon=args.rms_epsilon,
         seed=args.seed,
-        steps_per_epoch=args.steps_per_epoch,
         reg_scope=args.reg_scope,
     )
     # BPR-MF is the K = 0 model, with input width d; it needs no graph.
@@ -278,7 +276,7 @@ def cmd_evaluate(args) -> int:
     evaluation.save_report(report, report_path, header)
 
     print("cutoff\trecall\tmap")
-    for m in args.cutoffs:
+    for m in report.cutoffs:
         print(f"{m}\t{report.recall_at[m]:.6f}\t{report.map_at[m]:.6f}")
     print(f"report\t{report_path}")
     return 0

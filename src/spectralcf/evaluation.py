@@ -56,8 +56,9 @@ def map_at_m(ranked, relevant: set, M: int, denom: str = MAP_DENOM_TRUNCATED) ->
 
 
 def check_cutoffs(cutoffs) -> list[int]:
-    """The cutoffs in ascending order; there must be at least one, and each >= 1."""
-    cutoffs = sorted(int(m) for m in cutoffs)
+    """The distinct cutoffs in ascending order; there must be at least one,
+    and each >= 1."""
+    cutoffs = sorted({int(m) for m in cutoffs})
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError("cutoffs must be positive")
     return cutoffs

@@ -42,12 +42,11 @@ class TrainConfig:
     rms_decay: float = 0.9
     rms_epsilon: float = 1e-8
     seed: int = 0
-    steps_per_epoch: int = 1
     reg_scope: str = REG_FULL
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.steps_per_epoch < 1:
-            raise ValueError("batch_size, epochs and steps_per_epoch must be >= 1")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0 or self.rms_epsilon <= 0:
             raise ValueError("learning_rate and rms_epsilon must be positive")
         if not (0.0 < self.rms_decay < 1.0):
@@ -244,12 +243,11 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
 
     ``kernel`` may be None when ``model_config.K`` is 0 (BPR-MF).
 
-    Each epoch draws ``steps_per_epoch`` batches (default one, matching the
-    one-batch-per-epoch schedule) and applies one RMSprop update per batch.
-    Deterministic for fixed seeds. The sampler's eligible users (and the
-    warning about users who interact with every item) and its sorted
-    interaction keys are worked out once per run. Numeric failures abort with
-    the epoch number and the last finite loss.
+    Each epoch draws one batch and applies one RMSprop update, so the
+    history holds one loss per step. Deterministic for fixed seeds. The
+    sampler's eligible users (and the warning about users who interact with
+    every item) and its sorted interaction keys are worked out once per run.
+    Numeric failures abort with the epoch number and the last finite loss.
     """
     rng = np.random.default_rng(train_config.seed)
     eligible = eligible_users(train_set)
@@ -257,25 +255,19 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
     params = init_params(model_config, train_set.n_users, train_set.n_items)
     opt = init_opt_state(params)
     history: list[float] = []
-    last_finite = float("nan")
     for epoch in range(1, train_config.epochs + 1):
-        epoch_losses = []
         try:
-            for _ in range(train_config.steps_per_epoch):
-                batch = sample_batch(train_set, train_config.batch_size, rng, eligible, keys)
-                factors, trace = forward(params, kernel, model_config)
-                loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope)
-                grads = backward(params, kernel, model_config, batch,
-                                 train_config.reg, trace, train_config.reg_scope)
-                params, opt = rmsprop_step(params, grads, opt,
-                                           train_config.learning_rate,
-                                           train_config.rms_decay,
-                                           train_config.rms_epsilon)
-                epoch_losses.append(loss)
-                last_finite = loss
+            batch = sample_batch(train_set, train_config.batch_size, rng, eligible, keys)
+            factors, trace = forward(params, kernel, model_config)
+            loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope)
+            grads = backward(params, kernel, model_config, batch,
+                             train_config.reg, trace, train_config.reg_scope)
+            params, opt = rmsprop_step(params, grads, opt, train_config.learning_rate,
+                                       train_config.rms_decay, train_config.rms_epsilon)
         except NumericError as exc:
+            last_finite = history[-1] if history else float("nan")
             raise NumericError(
                 f"training aborted at epoch {epoch}: {exc}; last finite loss {last_finite}"
             ) from exc
-        history.append(float(np.mean(epoch_losses)))
+        history.append(loss)
     return params, history

@@ -1,4 +1,8 @@
 import hashlib
+import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,22 @@ class TestTrainEvaluateRecommend:
             ext, score = line.split("\t")
             assert ext.startswith("i")
             float(score)
+
+    def test_duplicate_cutoffs_listed_once_in_order(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "dup"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        code, out, err = run(capsys, [
+            "evaluate", "--split-dir", str(split_dir),
+            "--checkpoint", str(out_dir / "model.spck"),
+            "--cutoffs", "40,20,20", "--out-dir", str(out_dir),
+        ])
+        assert code == 0, err
+        assert [ln.split("\t")[0] for ln in out.splitlines()[1:-1]] == ["20", "40"]
+        body = [ln.split("\t")[:2] for ln in (out_dir / "report.tsv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert body == [["20", "recall"], ["40", "recall"], ["20", "map"], ["40", "map"]]
 
     def test_bpr_mf_model(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
@@ -676,7 +696,7 @@ class TestOptionTable:
         ("split", ["--min-interactions", "0"], "min_user_interactions must be >= 1"),
         ("train", ["-K", "-1"], "K must be >= 0, C and F >= 1 (got K=-1"),
         ("train", ["--model", "bpr-mf", "--d", "0"], "(got K=0, C=0"),
-        ("train", ["--epochs", "0"], "epochs and steps_per_epoch must be >= 1"),
+        ("train", ["--epochs", "0"], "epochs and batch_size must be >= 1"),
         ("train", ["--rms-decay", "1.5"], "rms_decay must lie in (0, 1)"),
         ("evaluate", ["--cutoffs", "0"], "cutoffs must be positive"),
         ("evaluate", ["--cutoffs", "20,-5"], "cutoffs must be positive"),
@@ -701,8 +721,10 @@ class TestOptionTable:
         monkeypatch.setattr(cli.data, "load_train", no_read)
         config = tmp_path / "run.cfg"
         out_dir = tmp_path / "typo"
-        # A misspelt key, and the key of the removed normalization option.
-        for key, value in (("epoch", "3"), ("normalization", "sym_orthonormal")):
+        # A misspelt key, and the keys of the removed normalization and
+        # steps_per_epoch options.
+        for key, value in (("epoch", "3"), ("normalization", "sym_orthonormal"),
+                           ("steps_per_epoch", "2")):
             config.write_text(f"{key}={value}\n")
             code, out, err = run(capsys, ["train", "--split-dir", str(split_dir), "--config",
                                           str(config), "--out-dir", str(out_dir)])
@@ -734,3 +756,53 @@ class TestOptionTable:
         assert code == 1
         assert err.startswith("error:") and "--input" in err
         assert not out_dir.exists()
+
+
+def test_cold_start_sweep_runs_through_the_cli(tmp_path, capsys, monkeypatch):
+    """The README's cold-start sweep for P = 1, 2 (so --min-interactions is 3),
+    at 2 epochs, on a 12-user tsv file."""
+    rng = np.random.default_rng(0)
+    lines = [f"u{u}\ti{i}\t{rng.integers(1, 6)}" for u in range(12)
+             for i in rng.choice(10, size=int(rng.integers(4, 8)), replace=False)]
+    (tmp_path / "ratings.tsv").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for p in ("1", "2"):
+        run_dir = f"cs/p{p}/run"
+        for argv in (
+            ["split", "--input", "ratings.tsv", "--format", "tsv", "--protocol", "cold-start",
+             "--p", p, "--min-interactions", "3", "--seed", "0", "--out-dir", f"cs/p{p}"],
+            ["train", "--split-dir", f"cs/p{p}", "--epochs", "2", "--out-dir", run_dir],
+            ["train", "--split-dir", f"cs/p{p}", "--model", "bpr-mf", "--d", "64",
+             "--epochs", "2", "--checkpoint", "bpr.spck", "--loss-log", "bpr_loss.tsv",
+             "--out-dir", run_dir],
+            ["evaluate", "--split-dir", f"cs/p{p}", "--checkpoint", f"{run_dir}/model.spck",
+             "--cutoffs", "20", "--out-dir", run_dir],
+            ["evaluate", "--split-dir", f"cs/p{p}", "--checkpoint", f"{run_dir}/bpr.spck",
+             "--cutoffs", "20", "--report", "bpr_report.tsv", "--out-dir", run_dir],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 0, err
+        for report in ("report.tsv", "bpr_report.tsv"):
+            text = (tmp_path / run_dir / report).read_text()
+            body = [ln.split("\t") for ln in text.splitlines() if not ln.startswith("#")]
+            assert [row[:2] for row in body] == [["20", "recall"], ["20", "map"]]
+            for row in body:
+                assert math.isfinite(float(row[2])) and 0.0 <= float(row[2]) <= 1.0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    """Every ``spectralcf ...`` command in the README's sh blocks, with ``\\``
+    continuations joined and ``$P`` set to 1, parses; together they use every
+    command."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line.replace("$P", "1"))
+            if words[:1] == ["spectralcf"]:
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} == set(cli.COMMAND_OPTIONS)
+    for argv in commands:
+        cli.parse_args(argv)

@@ -307,12 +307,6 @@ class TestTrainLoop:
         _, hb = training.train(toy_set, kern, cfg, TrainConfig(batch_size=8, epochs=5, seed=4))
         assert ha != hb
 
-    def test_steps_per_epoch(self, toy_set):
-        cfg = model.ModelConfig(K=1, C=3, F=3, seed=0)
-        tc = TrainConfig(batch_size=4, epochs=3, steps_per_epoch=5, seed=0)
-        _, history = training.train(toy_set, kernel_of(toy_set), cfg, tc)
-        assert len(history) == 3
-
     def test_numeric_blowup_reports_epoch(self, toy_set):
         # An absurd learning rate drives the factors non-finite quickly.
         cfg = model.ModelConfig(K=2, C=4, F=4, seed=0)
