@@ -33,8 +33,6 @@ def fit_bpr_mf(train: InteractionSet, d: int, train_config: training.TrainConfig
     initialization with the spectral model; returns (ModelParams with no
     filters, loss history).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     return training.train(train, None, ModelConfig(K=0, C=d, seed=init_seed), train_config)
 
 

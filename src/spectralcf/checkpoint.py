@@ -2,7 +2,8 @@
 
 Layout (little-endian): magic "SPCK", u32 version 1, u8 model-type tag 0,
 u32 K, C, F, u64 n_users, n_items, f64 RMSprop decay and epsilon, then
-X_u0, X_i0 and the K filter matrices row-major as 64-bit floats. BPR-MF is
+the arrays of ``ModelParams.arrays()`` (X_u0, X_i0 and the K filter matrices,
+shaped by ``ModelConfig.shapes``) row-major as 64-bit floats. BPR-MF is
 the K = 0 model and is written the same way. Round-trips are bit-exact.
 
 Older BPR-MF files carry tag 1 (u32 d, u64 n_users, n_items, f64 decay,
@@ -46,7 +47,7 @@ def save_checkpoint(ckpt: SpectralCheckpoint, path) -> None:
             "<IIIQQdd", cfg.K, cfg.C, cfg.F, params.n_users, params.n_items,
             ckpt.rms_decay, ckpt.rms_epsilon,
         ))
-        for arr in (params.X_u0, params.X_i0, *params.thetas):
+        for arr in params.arrays():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -75,11 +76,10 @@ def load_checkpoint(path) -> SpectralCheckpoint:
             config = _header_config(path, K=0, C=C)
         else:
             raise ValueError(f"{path}: unknown model-type tag {tag}")
-        shapes = [(n_users, C), (n_items, C)]
-        shapes += [(C if k == 0 else config.F, config.F) for k in range(config.K)]
+        shapes = config.shapes(n_users, n_items)
         check_size(fh, fh.tell() + 8 * sum(rows * cols for rows, cols in shapes), path)
-        X_u0, X_i0, *thetas = [
+        params = ModelParams.from_arrays([
             np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").copy().reshape(rows, cols)
             for rows, cols in shapes
-        ]
-    return SpectralCheckpoint(ModelParams(X_u0, X_i0, thetas), config, decay, eps)
+        ])
+    return SpectralCheckpoint(params, config, decay, eps)

@@ -78,7 +78,7 @@ OPTIONS = {
     "K": Option("-K", int, 3, help="number of propagation layers"),
     "C": Option("-C", int, 16, help="input factor width"),
     "F": Option("-F", int, 16, help="per-layer factor width"),
-    "d": Option("--d", int, 16, help="latent dimension of the bpr-mf baseline"),
+    "d": Option("--d", int, None, help="bpr-mf latent dimension (default C + K*F)"),
     "reg": Option("--reg", float, 1e-3, help="L2 regularization weight"),
     "batch_size": Option("--batch-size", int, 1024, help="triples per training step"),
     "epochs": Option("--epochs", int, 200, help="training epochs"),
@@ -102,9 +102,9 @@ COMMAND_OPTIONS = {
     "split": ("seed", "format", "protocol", "fraction", "p", "min_interactions"),
     "train": ("seed", "model", "kernel", "K", "C", "F", "d", "reg", "batch_size", "epochs",
               "lr", "rms_decay", "rms_epsilon", "reg_scope"),
-    "evaluate": ("seed", "kernel", "cutoffs", "map_denom"),
-    "recommend": ("seed", "kernel", "M"),
-    "spectral-embed": ("seed", "format", "k"),
+    "evaluate": ("kernel", "cutoffs", "map_denom"),
+    "recommend": ("kernel", "M"),
+    "spectral-embed": ("format", "k"),
 }
 
 
@@ -205,20 +205,22 @@ def cmd_train(args) -> int:
         seed=args.seed,
         reg_scope=args.reg_scope,
     )
-    # BPR-MF is the K = 0 model, with input width d; it needs no graph.
+    # BPR-MF is the K = 0 model of width d, by default SpectralCF's factor width.
     bpr_mf = args.model == "bpr-mf"
-    mc = (model.ModelConfig(K=0, C=args.d) if bpr_mf
-          else model.ModelConfig(K=args.K, C=args.C, F=args.F, seed=args.seed))
+    mc = model.ModelConfig(K=args.K, C=args.C, F=args.F, seed=args.seed)
+    if bpr_mf:
+        mc = model.ModelConfig(K=0, C=mc.factor_width if args.d is None else args.d, seed=args.seed)
     train_set = data.load_train(args.split_dir)
 
     _out_dir(args).mkdir(parents=True, exist_ok=True)
     ckpt_path = _out_path(args, args.checkpoint)
     log_path = _out_path(args, args.loss_log)
 
+    # No graph or kernel is built for a K = 0 model, which never reads one.
     if bpr_mf:
-        params, history = baselines.fit_bpr_mf(train_set, args.d, tc, init_seed=args.seed)
+        params, history = baselines.fit_bpr_mf(train_set, mc.C, tc, init_seed=mc.seed)
     else:
-        kernel = _build_kernel(train_set, args.kernel)
+        kernel = _build_kernel(train_set, args.kernel) if mc.K else None
         params, history = training.train(train_set, kernel, mc, tc)
 
     # Both files are replaced only once training has succeeded, each atomically.

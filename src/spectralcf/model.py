@@ -43,13 +43,20 @@ class ModelConfig:
     def factor_width(self) -> int:
         return self.C + self.K * self.F
 
+    def shapes(self, n_users: int, n_items: int) -> list[tuple[int, int]]:
+        """Shapes of X_u0, X_i0 and the K filters: the first filter is C x F,
+        every later one F x F."""
+        return ([(n_users, self.C), (n_items, self.C)]
+                + [(self.F if k else self.C, self.F) for k in range(self.K)])
+
 
 @dataclass
 class ModelParams:
-    """Initial embeddings and per-layer filter matrices.
+    """Initial embeddings and per-layer filter matrices, shaped as
+    :meth:`ModelConfig.shapes` says.
 
-    ``thetas[0]`` is C x F; every later entry is F x F. Gradients produced by
-    the training module reuse this container shape-for-shape.
+    Gradients and the RMSprop accumulators of the training module use this
+    container too, shape for shape.
     """
 
     X_u0: np.ndarray
@@ -64,16 +71,20 @@ class ModelParams:
     def n_items(self) -> int:
         return self.X_i0.shape[0]
 
+    def arrays(self) -> list[np.ndarray]:
+        """X_u0, X_i0, then the filters: the order of ``ModelConfig.shapes``."""
+        return [self.X_u0, self.X_i0, *self.thetas]
+
+    @classmethod
+    def from_arrays(cls, arrays) -> ModelParams:
+        X_u0, X_i0, *thetas = arrays
+        return cls(X_u0, X_i0, thetas)
+
     def validate_shapes(self, config: ModelConfig) -> None:
-        if self.X_u0.shape[1] != config.C or self.X_i0.shape[1] != config.C:
-            raise DimensionError("embedding width disagrees with config.C")
-        if len(self.thetas) != config.K:
-            raise DimensionError(f"expected {config.K} filter matrices, got {len(self.thetas)}")
-        expected = (config.C, config.F)
-        for k, theta in enumerate(self.thetas):
-            if theta.shape != expected:
-                raise DimensionError(f"filter {k} has shape {theta.shape}, expected {expected}")
-            expected = (config.F, config.F)
+        expected = config.shapes(self.n_users, self.n_items)
+        actual = [a.shape for a in self.arrays()]
+        if actual != expected:
+            raise DimensionError(f"expected parameter shapes {expected}, got {actual}")
 
 
 @dataclass
@@ -106,11 +117,8 @@ def init_params(config: ModelConfig, n_users: int, n_items: int) -> ModelParams:
     is fixed so a seed pins the full parameter set.
     """
     rng = np.random.default_rng(config.seed)
-    X_u0 = rng.normal(0.01, 0.02, size=(n_users, config.C))
-    X_i0 = rng.normal(0.01, 0.02, size=(n_items, config.C))
-    thetas = [rng.normal(0.01, 0.02, size=(config.C if k == 0 else config.F, config.F))
-              for k in range(config.K)]
-    return ModelParams(X_u0, X_i0, thetas)
+    return ModelParams.from_arrays(
+        [rng.normal(0.01, 0.02, size=s) for s in config.shapes(n_users, n_items)])
 
 
 def forward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig):

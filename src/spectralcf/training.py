@@ -57,21 +57,9 @@ class TrainConfig:
             raise ValueError(f"unknown reg_scope: {self.reg_scope!r}")
 
 
-@dataclass
-class OptState:
-    """Running mean-square gradient accumulators, one per parameter array."""
-
-    acc_X_u0: np.ndarray
-    acc_X_i0: np.ndarray
-    acc_thetas: list[np.ndarray]
-
-
-def init_opt_state(params: ModelParams) -> OptState:
-    return OptState(
-        acc_X_u0=np.zeros_like(params.X_u0),
-        acc_X_i0=np.zeros_like(params.X_i0),
-        acc_thetas=[np.zeros_like(t) for t in params.thetas],
-    )
+def init_opt_state(params: ModelParams) -> ModelParams:
+    """RMSprop's running mean-square accumulators: zeros shaped like ``params``."""
+    return ModelParams.from_arrays([np.zeros_like(a) for a in params.arrays()])
 
 
 def eligible_users(train: InteractionSet) -> np.ndarray:
@@ -219,22 +207,15 @@ def _stable_sigmoid_neg(diff: np.ndarray) -> np.ndarray:
     return out
 
 
-def rmsprop_step(params: ModelParams, grads: ModelParams, opt: OptState,
+def rmsprop_step(params: ModelParams, grads: ModelParams, opt: ModelParams,
                  learning_rate: float, decay: float, epsilon: float):
-    """One RMSprop update; returns (new params, new optimizer state)."""
-
-    def _upd(p, g, acc):
-        acc_new = decay * acc + (1.0 - decay) * g * g
-        return p - learning_rate * g / np.sqrt(acc_new + epsilon), acc_new
-
-    X_u0, acc_u = _upd(params.X_u0, grads.X_u0, opt.acc_X_u0)
-    X_i0, acc_i = _upd(params.X_i0, grads.X_i0, opt.acc_X_i0)
-    thetas, acc_t = [], []
-    for p, g, a in zip(params.thetas, grads.thetas, opt.acc_thetas):
-        t, acc = _upd(p, g, a)
-        thetas.append(t)
-        acc_t.append(acc)
-    return ModelParams(X_u0, X_i0, thetas), OptState(acc_u, acc_i, acc_t)
+    """One RMSprop update; returns (new params, new accumulators)."""
+    new_params, new_opt = [], []
+    for p, g, acc in zip(params.arrays(), grads.arrays(), opt.arrays()):
+        acc = decay * acc + (1.0 - decay) * g * g
+        new_params.append(p - learning_rate * g / np.sqrt(acc + epsilon))
+        new_opt.append(acc)
+    return ModelParams.from_arrays(new_params), ModelParams.from_arrays(new_opt)
 
 
 def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: ModelConfig,

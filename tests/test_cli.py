@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import re
@@ -237,6 +238,18 @@ class TestTrainEvaluateRecommend:
         ])
         assert code == 0, err
 
+    def test_bpr_mf_width_defaults_to_factor_width(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        for flags, width in (([], 64), (["-K", "1", "-C", "4", "-F", "2"], 6)):
+            out_dir = tmp_path / f"mf{width}"
+            code, _, err = run(capsys, [
+                "train", "--split-dir", str(split_dir), "--model", "bpr-mf", *flags,
+                "--epochs", "2", "--batch-size", "8", "--out-dir", str(out_dir),
+            ])
+            assert code == 0, err
+            config = load_checkpoint(out_dir / "model.spck").config
+            assert (config.K, config.C) == (0, width)
+
     def test_bpr_mf_skips_the_graph(self, workspace, capsys, monkeypatch):
         tmp_path, _, split_dir = workspace
 
@@ -404,7 +417,22 @@ class TestTrainEvaluateRecommend:
 
 
 class TestKernelOptions:
-    """A K = 0 model is scored with no kernel, whatever the kernel form."""
+    """A K = 0 model is trained and scored with no kernel, whatever the kernel form."""
+
+    def test_k0_training_builds_no_graph_or_kernel(self, workspace, capsys, monkeypatch):
+        tmp_path, _, split_dir = workspace
+
+        def never(*args, **kwargs):
+            raise AssertionError("train -K 0 built a graph or kernel it never reads")
+
+        for name in ("build_graph", "eigendecompose", "conv_kernel"):
+            monkeypatch.setattr(cli.graph, name, never)
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "-K", "0", "--kernel", "dense-eig",
+            "--epochs", "3", "--batch-size", "8", "--out-dir", str(tmp_path / "k0"),
+        ])
+        assert code == 0, err
+        assert load_checkpoint(tmp_path / "k0" / "model.spck").config.K == 0
 
     def test_bpr_mf_evaluated_with_dense_eig_needs_no_eigendecomposition(
             self, workspace, capsys, monkeypatch):
@@ -634,7 +662,7 @@ def non_default_text(opt):
         return next(c for c in opt.choices if c != opt.default)
     if opt.type is cli.int_list:
         return "5,10"
-    return str(opt.default + 1)
+    return str((opt.default or 0) + 1)
 
 
 class TestOptionTable:
@@ -756,6 +784,51 @@ class TestOptionTable:
         assert code == 1
         assert err.startswith("error:") and "--input" in err
         assert not out_dir.exists()
+
+
+class ReadRecorder(argparse.Namespace):
+    """A Namespace that notes the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.read = set()
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name != "read" and not name.startswith("_"):
+            object.__getattribute__(self, "read").add(name)
+        return value
+
+
+def test_every_command_reads_each_of_its_options(workspace, capsys):
+    """Every key of ``COMMAND_OPTIONS[command]`` is read by some run of the
+    command. ``kernel`` on evaluate and recommend is the one exception: it is
+    checked, and chooses nothing (scoring always uses the closed form)."""
+    tmp_path, raw, split_dir = workspace
+    out = tmp_path / "reads"
+    common = ["--split-dir", str(split_dir), "--out-dir", str(out)]
+    small = ["-K", "1", "-C", "2", "-F", "2", "--epochs", "2", "--batch-size", "8"]
+    ckpt = ["--checkpoint", str(out / "model.spck")]
+    runs = [
+        ["split", "--input", str(raw), "--out-dir", str(out / "standard")],
+        ["split", "--input", str(raw), "--protocol", "cold-start", "--out-dir", str(out / "cs")],
+        ["train", *common, *small],
+        ["train", *common, *small, "--model", "bpr-mf", "--checkpoint", "bpr.spck"],
+        ["evaluate", *common, *ckpt, "--cutoffs", "2"],
+        ["recommend", *common, *ckpt, "--user", "u0"],
+        ["spectral-embed", *common, "-k", "1"],
+        ["spectral-embed", "--input", str(raw), "--out-dir", str(out), "-k", "1"],
+    ]
+    read = {command: set() for command in cli.COMMAND_OPTIONS}
+    for argv in runs:
+        args = cli.parse_args(argv)
+        recorder = ReadRecorder(**vars(args))
+        assert args.func(recorder) == 0, argv
+        read[argv[0]] |= recorder.read
+    capsys.readouterr()
+    unread = {"evaluate": {"kernel"}, "recommend": {"kernel"}}
+    for command, keys in cli.COMMAND_OPTIONS.items():
+        assert set(keys) - unread.get(command, set()) <= read[command], command
 
 
 def test_cold_start_sweep_runs_through_the_cli(tmp_path, capsys, monkeypatch):

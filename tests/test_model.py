@@ -16,6 +16,11 @@ class TestConfig:
         cfg = model.ModelConfig(K=3, C=16, F=16)
         assert cfg.factor_width == 16 + 3 * 16
 
+    def test_shapes(self):
+        cfg = model.ModelConfig(K=3, C=5, F=4)
+        assert cfg.shapes(7, 9) == [(7, 5), (9, 5), (5, 4), (4, 4), (4, 4)]
+        assert model.ModelConfig(K=0, C=5).shapes(7, 9) == [(7, 5), (9, 5)]
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             model.ModelConfig(K=-1, C=4, F=4)
@@ -33,6 +38,23 @@ class TestInit:
         for theta in params.thetas[1:]:
             assert theta.shape == (4, 4)
         params.validate_shapes(cfg)
+
+    def test_arrays_round_trip_in_shapes_order(self):
+        cfg = model.ModelConfig(K=2, C=3, F=2, seed=0)
+        params = model.init_params(cfg, n_users=4, n_items=5)
+        arrays = params.arrays()
+        assert [a.shape for a in arrays] == cfg.shapes(4, 5)
+        again = model.ModelParams.from_arrays(arrays).arrays()
+        assert all(a is b for a, b in zip(arrays, again))
+
+    def test_validate_shapes_names_both_layouts(self):
+        cfg = model.ModelConfig(K=2, C=3, F=2, seed=0)
+        params = model.init_params(cfg, n_users=4, n_items=5)
+        params.thetas[1] = np.zeros((3, 2))
+        with pytest.raises(DimensionError, match=r"expected .*\(2, 2\)\].*got .*\(3, 2\)\]"):
+            params.validate_shapes(cfg)
+        with pytest.raises(DimensionError):
+            model.init_params(cfg, 4, 5).validate_shapes(model.ModelConfig(K=1, C=3, F=2))
 
     def test_distribution(self):
         # Large sample so the first two moments are tight.

@@ -263,10 +263,10 @@ class TestRmsprop:
         lr, decay, eps = 1e-2, 0.9, 1e-8
         new_params, new_opt = training.rmsprop_step(params, grads, opt, lr, decay, eps)
         for p, g, acc, p_new, acc_new in [
-            (params.X_u0, grads.X_u0, opt.acc_X_u0, new_params.X_u0, new_opt.acc_X_u0),
-            (params.X_i0, grads.X_i0, opt.acc_X_i0, new_params.X_i0, new_opt.acc_X_i0),
-            (params.thetas[0], grads.thetas[0], opt.acc_thetas[0],
-             new_params.thetas[0], new_opt.acc_thetas[0]),
+            (params.X_u0, grads.X_u0, opt.X_u0, new_params.X_u0, new_opt.X_u0),
+            (params.X_i0, grads.X_i0, opt.X_i0, new_params.X_i0, new_opt.X_i0),
+            (params.thetas[0], grads.thetas[0], opt.thetas[0],
+             new_params.thetas[0], new_opt.thetas[0]),
         ]:
             acc_ref = decay * acc + (1 - decay) * g ** 2
             assert np.allclose(acc_new, acc_ref, atol=1e-15)
