@@ -160,8 +160,7 @@ def cmd_split(args) -> int:
     else:
         data.check_items_per_user(args.p)
     data.check_min_interactions(args.min_interactions)
-    with open(args.input, "rb") as fh:
-        columns = data.parse_interactions(fh, args.format)
+    columns = data.read_interactions(args.input, args.format)
     dataset = data.to_implicit(columns, min_user_interactions=args.min_interactions)
 
     if args.protocol == "standard":
@@ -170,7 +169,6 @@ def cmd_split(args) -> int:
         split = data.split_cold_start(dataset, args.p, args.seed)
 
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     data.save_split(split, out)
     print(f"users\t{split.train.n_users}")
     print(f"items\t{split.train.n_items}")
@@ -316,8 +314,7 @@ def cmd_spectral_embed(args) -> int:
     if args.split_dir is not None:
         dataset = data.load_train(args.split_dir)
     else:
-        with open(args.input, "rb") as fh:
-            dataset = data.to_implicit(data.parse_interactions(fh, args.format))
+        dataset = data.to_implicit(data.read_interactions(args.input, args.format))
 
     g = graph.build_graph(dataset)
     coords = graph.spectral_coordinates(g, args.k)

@@ -5,12 +5,17 @@ its distinct ids; an :class:`InteractionSet` is the CSR pattern of the
 binary interaction matrix (``indptr``, ``indices``) over dense user/item
 indices, plus the external id lists. Raw records are collapsed to deduplicated binary feedback
 and split per user either 80/20-style or by retaining a fixed number of
-training items per user (cold-start protocol).
+training items per user (cold-start protocol). A saved split is three text
+files plus a binary index cache, which spares the commands that read the
+split the parse of its text files.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
+import zipfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -23,6 +28,11 @@ from .errors import EmptyDatasetError, ParseError, SplitFormatError
 
 PROTOCOL_STANDARD = "standard_80_20"
 PROTOCOL_COLD_START = "cold_start"
+
+# The binary index cache save_split writes beside the tsv files, and the two
+# halves it holds, each keyed by the sha256 of its tsv file.
+INDEX_CACHE = "index.npz"
+_HALVES = ("train", "test")
 
 # Field separator, allowed field counts and their wording in error messages.
 _FORMATS = {
@@ -167,6 +177,16 @@ def parse_interactions(source, fmt: str) -> RawColumns:
     buf = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else raw
     columns = _scan(buf, fmt)
     return _parse_lines(raw, fmt) if columns is None else columns
+
+
+def read_interactions(path, fmt: str) -> RawColumns:
+    """:func:`parse_interactions` of the file at ``path``; a ParseError names
+    the file as well as the line."""
+    with open(path, "rb") as fh:
+        try:
+            return parse_interactions(fh, fmt)
+        except ParseError as exc:
+            raise ParseError(exc.line_no, exc.reason, path) from None
 
 
 def _scan(buf, fmt: str) -> RawColumns | None:
@@ -365,9 +385,12 @@ def _codes_in(values: list[str], ids: list[str]) -> np.ndarray:
 
 
 def _in_first_appearance_order(codes: np.ndarray) -> np.ndarray:
-    """Distinct codes ordered by where each first occurs."""
-    distinct, first = np.unique(codes, return_index=True)
-    return distinct[np.argsort(first)]
+    """Distinct codes (non-negative ints) ordered by where each first occurs."""
+    n = len(codes)
+    first = np.full(int(codes.max()) + 1 if n else 0, n)
+    np.minimum.at(first, codes, np.arange(n))
+    distinct = np.flatnonzero(first < n)
+    return distinct[np.argsort(first[distinct])]
 
 
 def check_min_interactions(min_user_interactions: int) -> None:
@@ -567,10 +590,56 @@ def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -
 
 
 def _pairs_bytes(s: InteractionSet) -> bytes:
-    """One ``user<TAB>item`` line per entry, in (user, item) index order."""
-    users = np.asarray(s.user_ids, dtype=object)[s.rows()].tolist()
+    """One ``user<TAB>item`` line per entry, in (user, item) index order; the
+    lines of one user are one join over its items."""
     items = np.asarray(s.item_ids, dtype=object)[s.indices].tolist()
-    return "".join([f"{u}\t{i}\n" for u, i in zip(users, items)]).encode("utf-8")
+    bounds = s.indptr.tolist()
+    return "".join([f"{u}\t" + f"\n{u}\t".join(items[lo:hi]) + "\n"
+                    for u, lo, hi in zip(s.user_ids, bounds, bounds[1:]) if hi > lo]
+                   ).encode("utf-8")
+
+
+def _id_blob(kind: str, ids: list[str]) -> np.ndarray:
+    """``ids`` joined by newlines, as UTF-8 bytes. An id that cannot be one
+    field of a tsv line (empty, or holding a tab or a line break) raises
+    SplitFormatError naming it: train.tsv would read back as other ids."""
+    blob = "\n".join(ids)
+    if "\t" in blob or "\r" in blob or blob.count("\n") != max(len(ids) - 1, 0) or "" in ids:
+        bad = next(i for i in ids if not i or "\t" in i or "\r" in i or "\n" in i)
+        raise SplitFormatError(f"{kind} id {bad!r} cannot be written as a tsv field "
+                               "(it is empty or holds a tab or a line break)")
+    return np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
+
+
+def _index_cache(split: SplitPair, tsv: dict[str, bytes]) -> bytes:
+    """The index cache of a split (``INDEX_CACHE``), as ``np.savez`` bytes.
+
+    It holds both halves in the index space :func:`load_train` derives from
+    train.tsv, the ids, and the sha256 of each tsv payload in ``tsv``. Every
+    user has a train row, so users keep their order; items are renumbered
+    in order of first appearance along the train rows, and each row's items
+    sorted again by one sort of (row, item) keys.
+    """
+    train = split.train
+    items = _in_first_appearance_order(train.indices)
+    if len(items) != train.n_items or not np.diff(train.indptr).all():
+        raise SplitFormatError("the train half leaves a user or an item without an "
+                               "interaction, so train.tsv cannot list it")
+    code = np.empty(train.n_items, dtype=np.int64)
+    code[items] = np.arange(train.n_items)
+    arrays = {
+        "user_ids": _id_blob("user", train.user_ids),
+        "item_ids": _id_blob("item", [train.item_ids[i] for i in items.tolist()]),
+    }
+    for half, s in zip(_HALVES, (train, split.test)):
+        offsets = s.rows() * train.n_items
+        arrays[f"{half}_indptr"] = s.indptr
+        arrays[f"{half}_indices"] = np.sort(offsets + code[s.indices]) - offsets
+        arrays[f"{half}_sha256"] = np.frombuffer(
+            hashlib.sha256(tsv[f"{half}.tsv"]).digest(), dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 @contextmanager
@@ -616,9 +685,8 @@ def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
 
 
 def save_split(split: SplitPair, out_dir) -> None:
-    """Write train.tsv, test.tsv and split.meta (key=value) into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write train.tsv, test.tsv, split.meta (key=value) and the index cache
+    into ``out_dir``, all or none of them."""
     train = split.train
     meta = {
         "format_version": 1,
@@ -633,11 +701,12 @@ def save_split(split: SplitPair, out_dir) -> None:
         "n_swapped": split.n_swapped,
         "n_rescued": split.n_rescued,
     }
-    _write_files(out, {
-        "train.tsv": _pairs_bytes(train),
-        "test.tsv": _pairs_bytes(split.test),
-        "split.meta": "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8"),
-    })
+    payloads = {"train.tsv": _pairs_bytes(train), "test.tsv": _pairs_bytes(split.test)}
+    payloads[INDEX_CACHE] = _index_cache(split, payloads)
+    payloads["split.meta"] = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_files(out, payloads)
 
 
 def _read_meta(src: Path) -> dict[str, str]:
@@ -673,16 +742,40 @@ def _check_meta(meta: dict[str, str], src: Path, checks: dict[str, int]) -> None
             )
 
 
-def _read_pairs(path: Path) -> RawColumns:
-    with open(path, "rb") as fh:
-        return parse_interactions(fh, "tsv")
 
 
-def _load_train(src: Path, meta: dict[str, str]) -> InteractionSet:
-    columns = _read_pairs(src / "train.tsv")
-    train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
-                                      columns.users, columns.items,
-                                      columns.user_ids, columns.item_ids)
+def _read_cache(src: Path, halves: tuple[str, ...]) -> list[InteractionSet] | None:
+    """The named halves from the index cache, or None unless it reads cleanly,
+    its arrays fit together and each half's tsv file hashes to the digest
+    recorded for it."""
+    try:
+        with np.load(src / INDEX_CACHE, allow_pickle=False) as z:
+            for half in halves:
+                actual = hashlib.sha256((src / f"{half}.tsv").read_bytes()).digest()
+                if z[f"{half}_sha256"].tobytes() != actual:
+                    return None
+            user_ids = z["user_ids"].tobytes().decode("utf-8").split("\n")
+            item_ids = z["item_ids"].tobytes().decode("utf-8").split("\n")
+            arrays = [(z[f"{half}_indptr"], z[f"{half}_indices"]) for half in halves]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    for indptr, indices in arrays:
+        if (indptr.dtype != np.int64 or indices.dtype != np.int64
+                or indptr.shape != (len(user_ids) + 1,) or indices.ndim != 1
+                or indptr[0] != 0 or indptr[-1] != len(indices)):
+            return None
+    return [InteractionSet(len(user_ids), len(item_ids), indptr, indices, user_ids, item_ids)
+            for indptr, indices in arrays]
+
+
+def _load_train(src: Path, meta: dict[str, str], train: InteractionSet | None) -> InteractionSet:
+    """``train`` from the index cache, else train.tsv read as text; either
+    way checked against split.meta."""
+    if train is None:
+        columns = read_interactions(src / "train.tsv", "tsv")
+        train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
+                                          columns.users, columns.items,
+                                          columns.user_ids, columns.item_ids)
     _check_meta(meta, src, {
         "n_users": train.n_users,
         "n_items": train.n_items,
@@ -691,25 +784,9 @@ def _load_train(src: Path, meta: dict[str, str]) -> InteractionSet:
     return train
 
 
-def load_train(in_dir) -> InteractionSet:
-    """Load the train half of a persisted split; test.tsv is not read.
-
-    The dense index space is rebuilt from train.tsv in order of first
-    appearance, so index values are deterministic given the files (they need
-    not match the in-memory split that wrote them; all ids round-trip).
-    The user, item and train-pair counts must match split.meta.
-    """
-    src = Path(in_dir)
-    return _load_train(src, _read_meta(src))
-
-
-def load_split(in_dir) -> SplitPair:
-    """Load a persisted split: :func:`load_train`, then test.tsv in the same
-    index space, its pair count checked against split.meta."""
-    src = Path(in_dir)
-    meta = _read_meta(src)
-    train = _load_train(src, meta)
-    columns = _read_pairs(src / "test.tsv")
+def _read_test(src: Path, train: InteractionSet) -> InteractionSet:
+    """test.tsv read as text, in the index space of ``train``."""
+    columns = read_interactions(src / "test.tsv", "tsv")
     # Only the distinct test ids are looked up in the train index space.
     users = _codes_in(columns.user_ids, train.user_ids)[columns.users]
     items = _codes_in(columns.item_ids, train.item_ids)[columns.items]
@@ -718,8 +795,36 @@ def load_split(in_dir) -> SplitPair:
         k = outside[0]
         user, item = columns.user_ids[columns.users[k]], columns.item_ids[columns.items[k]]
         raise SplitFormatError(f"test pair ({user}, {item}) outside the train index space")
-    test = InteractionSet.from_pairs(train.n_users, train.n_items, users, items,
+    return InteractionSet.from_pairs(train.n_users, train.n_items, users, items,
                                      train.user_ids, train.item_ids)
+
+
+def load_train(in_dir) -> InteractionSet:
+    """Load the train half of a persisted split; test.tsv is not read.
+
+    The dense index space is the one train.tsv gives in order of first
+    appearance, so index values are deterministic given the files (they need
+    not match the in-memory split that wrote them; all ids round-trip). It
+    comes from the index cache when train.tsv hashes to the digest the cache
+    records, else from parsing train.tsv. The user, item and train-pair
+    counts must match split.meta.
+    """
+    src = Path(in_dir)
+    meta = _read_meta(src)
+    cached = _read_cache(src, ("train",))
+    return _load_train(src, meta, cached and cached[0])
+
+
+def load_split(in_dir) -> SplitPair:
+    """Load a persisted split: :func:`load_train`, then test.tsv in the same
+    index space, its pair count checked against split.meta. The index cache
+    serves both halves when both tsv files hash to its digests; otherwise
+    both are parsed."""
+    src = Path(in_dir)
+    meta = _read_meta(src)
+    cached = _read_cache(src, _HALVES)
+    train = _load_train(src, meta, cached and cached[0])
+    test = cached[1] if cached else _read_test(src, train)
     _check_meta(meta, src, {"n_test": test.n_interactions()})
     return SplitPair(
         train=train,

@@ -6,11 +6,14 @@ class SpectralCFError(Exception):
 
 
 class ParseError(SpectralCFError, ValueError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed input line; carries the 1-based line number, what is wrong
+    with it and, when known, the file it is in."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no, reason, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {reason}")
         self.line_no = line_no
+        self.reason = reason
 
 
 class EmptyDatasetError(SpectralCFError, ValueError):
@@ -30,4 +33,5 @@ class DegenerateInterpolationError(SpectralCFError, ValueError):
 
 
 class SplitFormatError(SpectralCFError, ValueError):
-    """A persisted split whose files miss a field or disagree with each other."""
+    """A persisted split whose files miss a field or disagree with each other,
+    or a split that its files could not hold."""

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .data import InteractionSet
 from .errors import DegenerateInterpolationError, DimensionError, NumericError
@@ -285,6 +283,8 @@ def _top_pairs(block: sp.csr_matrix, count: int):
     eigenvector that is antisymmetric under one (two equal chains hanging
     off the same vertex carry such a low frequency).
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only spectral-embed needs it
+
     m = block.shape[0]
     if m <= max(64, 4 * count):
         mu, vectors = np.linalg.eigh(block.toarray())
@@ -310,6 +310,8 @@ def spectral_coordinates(graph: BipartiteGraph, k: int) -> np.ndarray:
     eigenvectors of I - D^{-1/2} A D^{-1/2}, first nonzero entry positive.
     Residuals above 1e-8 raise NumericError.
     """
+    from scipy.sparse.csgraph import connected_components  # only spectral-embed needs it
+
     check_coordinate_count(k)
     A_norm = _sym_normalized_adjacency(graph)
     n = graph.n_vertices

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, NumericError
 from .graph import ConvKernel
@@ -21,6 +20,10 @@ SIGMOID_CLAMP = 500.0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    # Imported on first use: only a K > 0 forward pass needs scipy.special.
+    # expit, not 1 / (1 + exp(-z)), which differs from it by a few ulp.
+    from scipy.special import expit
+
     # Clamp keeps exp() finite; results are unchanged in the normal regime.
     return expit(np.clip(z, -SIGMOID_CLAMP, SIGMOID_CLAMP))
 

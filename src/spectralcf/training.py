@@ -123,15 +123,25 @@ def _reg_rows(r, j, jn, scope):
     return np.unique(r), np.unique(np.concatenate([j, jn]))
 
 
+def _pair_terms(factors: FactorTable, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """``V_i[j] - V_i[j_neg]`` and ``diff = score(r, j) - score(r, j_neg)`` of
+    every triple: the terms :func:`bpr_loss` and :func:`backward` share, which
+    the training loop works out once per step."""
+    r, j, jn = batch
+    item_diff = factors.V_i[j] - factors.V_i[jn]
+    return item_diff, np.einsum("ij,ij->i", factors.V_u[r], item_diff)
+
+
 def bpr_loss(factors: FactorTable, batch: Batch, reg: float,
-             reg_scope: str = REG_FULL) -> float:
+             reg_scope: str = REG_FULL, *, terms=None) -> float:
     """Sum over triples of -ln sigmoid(score(r,j) - score(r,j_neg)), plus the
     squared-Frobenius regularizer over the factor tables (applied once per
-    batch, not divided by the batch size)."""
+    batch, not divided by the batch size). ``terms`` is
+    :func:`_pair_terms` of the same factors and batch, when already known."""
     r, j, jn = batch
     if not len(r):
         raise ValueError("batch is empty")
-    diff = np.einsum("ij,ij->i", factors.V_u[r], factors.V_i[j] - factors.V_i[jn])
+    _, diff = _pair_terms(factors, batch) if terms is None else terms
     loss = np.logaddexp(0.0, -diff).sum()
     if reg != 0.0:
         ur, ir = _reg_rows(r, j, jn, reg_scope)
@@ -143,12 +153,13 @@ def bpr_loss(factors: FactorTable, batch: Batch, reg: float,
 
 def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig,
              batch: Batch, reg: float, trace: LayerTrace,
-             reg_scope: str = REG_FULL) -> ModelParams:
+             reg_scope: str = REG_FULL, *, terms=None) -> ModelParams:
     """Exact gradients of :func:`bpr_loss` w.r.t. every parameter array.
 
-    Needs the LayerTrace of the paired forward call; returns gradients in a
-    ModelParams container with matching shapes. The kernel is symmetric in
-    every form, so it propagates gradients back unchanged.
+    Needs the LayerTrace of the paired forward call, and takes the loss's
+    ``terms`` when it has them; returns gradients in a ModelParams container
+    with matching shapes. The kernel is symmetric in every form, so it
+    propagates gradients back unchanged.
     """
     if trace is None:
         raise ValueError("backward requires the LayerTrace of the paired forward call")
@@ -156,14 +167,16 @@ def backward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig
     V = trace.V
     V_u, V_i = V[:n_users], V[n_users:]
     r, j, jn = batch
+    if terms is None:
+        terms = _pair_terms(FactorTable(V_u=V_u, V_i=V_i), batch)
+    item_diff, diff = terms
 
-    diff = np.einsum("ij,ij->i", V_u[r], V_i[j] - V_i[jn])
     # d/d(diff) of softplus(-diff)
     g = -_stable_sigmoid_neg(diff)
 
     g_u = g[:, None] * V_u[r]
     G_V = scatter_add(len(V), np.concatenate([r, n_users + j, n_users + jn]),
-                      np.vstack([g[:, None] * (V_i[j] - V_i[jn]), g_u, -g_u]))
+                      np.vstack([g[:, None] * item_diff, g_u, -g_u]))
     if reg != 0.0:
         ur, ir = _reg_rows(r, j, jn, reg_scope)
         G_V[:n_users][ur] += 2.0 * reg * V_u[ur]
@@ -240,9 +253,11 @@ def train(train_set: InteractionSet, kernel: ConvKernel | None, model_config: Mo
         try:
             batch = sample_batch(train_set, train_config.batch_size, rng, eligible, keys)
             factors, trace = forward(params, kernel, model_config)
-            loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope)
-            grads = backward(params, kernel, model_config, batch,
-                             train_config.reg, trace, train_config.reg_scope)
+            terms = _pair_terms(factors, batch)
+            loss = bpr_loss(factors, batch, train_config.reg, train_config.reg_scope,
+                            terms=terms)
+            grads = backward(params, kernel, model_config, batch, train_config.reg, trace,
+                             train_config.reg_scope, terms=terms)
             params, opt = rmsprop_step(params, grads, opt, train_config.learning_rate,
                                        train_config.rms_decay, train_config.rms_epsilon)
         except NumericError as exc:

@@ -1,14 +1,17 @@
 import argparse
 import hashlib
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectralcf import cli, graph
+from spectralcf import cli, data, graph
 from spectralcf.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -163,6 +166,49 @@ class TestSplit:
         ])
         assert code == 1
         assert err.startswith("error:")
+
+
+def test_commands_after_split_read_the_index_cache(workspace, capsys, monkeypatch):
+    tmp_path, _, split_dir = workspace
+    calls = []
+    parse = data.parse_interactions
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(data, "parse_interactions", spy)
+    out = tmp_path / "run"
+    common = ["--split-dir", str(split_dir), "--out-dir", str(out)]
+    recommend = ["recommend", *common, "--checkpoint", str(out / "model.spck"), "--user", "u0"]
+    for argv in [
+        ["train", *common, "-K", "2", "-C", "4", "-F", "4", "--epochs", "3", "--batch-size", "8"],
+        ["train", *common, "--model", "bpr-mf", "--epochs", "3", "--batch-size", "8",
+         "--checkpoint", "bpr.spck"],
+        ["evaluate", *common, "--checkpoint", str(out / "model.spck")],
+        recommend,
+        ["spectral-embed", *common, "-k", "2"],
+    ]:
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+    assert calls == []
+    # Without the cache, train.tsv is parsed.
+    (split_dir / data.INDEX_CACHE).unlink()
+    code, _, err = run(capsys, recommend)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_import_leaves_out_what_only_some_commands_need():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spectralcf.cli; "
+         "print(*(m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph', "
+         "'scipy.special')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["False", "False", "False"], proc.stderr
 
 
 class TestTrainEvaluateRecommend:

@@ -1,4 +1,6 @@
 import errno
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -178,6 +180,14 @@ class TestScannerAgainstLineReader:
         raw = b"a::b::4.5::1\nc::d::1e3:: 7\n"
         assert users_of(data._scan(raw, "movielens_dat")) == ["a", "c"]
         assert data._scan(b"a::b::4.5::1\nc::d::x::7\n", "movielens_dat") is None
+
+
+def test_first_appearance_order_matches_dict_order():
+    rng = np.random.default_rng(10)
+    for size in [0, 1, 5, 50, 400]:
+        codes = rng.integers(int(rng.integers(1, 30)), size=size)
+        expected = list(dict.fromkeys(codes.tolist()))
+        assert data._in_first_appearance_order(codes).tolist() == expected
 
 
 class TestToImplicit:
@@ -460,3 +470,136 @@ class TestSplitPersistence:
         with pytest.raises(OSError):
             data.save_split(other, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_pairs_bytes_match_one_line_per_entry():
+    # Both halves, so users without an entry (test rows) are covered too.
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        ds = random_interactions(rng, max_users=10, max_items=12, density=0.4)
+        split = data.split_standard(ds, 0.5, rng_seed=trial)
+        for s in (split.train, split.test):
+            lines = [f"{s.user_ids[u]}\t{s.item_ids[i]}\n"
+                     for u, i in zip(s.rows().tolist(), s.indices.tolist())]
+            assert data._pairs_bytes(s) == "".join(lines).encode("utf-8")
+
+
+class TestSplitFilesReadBack:
+    """split refuses, before writing any file, what train.tsv could not
+    carry back to the loader; a bad line is named with its file."""
+
+    @pytest.mark.parametrize("line, shown", [
+        ("u\tx::i15::5::0", r"user id 'u\tx'"),
+        ("3::i\r::5::0", r"item id 'i\r'"),
+    ], ids=["tab-in-user", "cr-ending-item"])
+    def test_split_rejects_an_id_a_tsv_field_cannot_hold(self, tmp_path, capsys, line,
+                                                         shown):
+        raw = tmp_path / "ratings.dat"
+        lines = ["1::i1::5::0", "1::i2::4::0", "2::i1::3::0", "2::i15::1::0", line]
+        raw.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        out = tmp_path / "split"
+        assert cli.main(["split", "--input", str(raw), "--format", "movielens-dat",
+                         "--out-dir", str(out)]) == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_half_without_a_user_row_rejected(self, tmp_path, toy_set):
+        split = data.split_standard(toy_set, 0.8, rng_seed=3)
+        split.train = split.train.subset(split.train.rows() != 0)
+        with pytest.raises(SplitFormatError, match="without an interaction"):
+            data.save_split(split, tmp_path / "split")
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("name", ["train.tsv", "test.tsv"])
+    def test_parse_error_names_the_file(self, tmp_path, toy_set, capsys, name):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        path = tmp_path / name
+        line_no = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("broken\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {line_no}: ") as exc:
+            data.load_split(tmp_path)
+        assert exc.value.line_no == line_no
+        assert cli.main(["evaluate", "--split-dir", str(tmp_path), "--checkpoint", "x.spck"]) == 1
+        assert f"error: {path}: line {line_no}: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["split", "spectral-embed"])
+    def test_parse_error_of_an_input_names_the_file(self, tmp_path, capsys, command):
+        raw = tmp_path / "ratings.dat"
+        raw.write_text("1::2::3::4\nbroken\n")
+        assert cli.main([command, "--input", str(raw), "--format", "movielens-dat",
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"error: {raw}: line 2: " in capsys.readouterr().err
+
+
+def cache_split(tmp_path, protocol, seed):
+    """A split of a random skewed tsv input, saved with its index cache."""
+    rng = np.random.default_rng(seed)
+    users, items = rng.integers(40, size=600), rng.zipf(1.5, size=600) % 60
+    raw = "".join(f"u{u}\ti{i}\n" for u, i in zip(users.tolist(), items.tolist()))
+    ds = data.to_implicit(data.parse_interactions(raw, "tsv"))
+    split = (data.split_standard(ds, 0.8, seed) if protocol == "standard"
+             else data.split_cold_start(ds, 2, seed))
+    out = tmp_path / "split"
+    data.save_split(split, out)
+    return out
+
+
+def loaded(path):
+    """Everything load_split and load_train return, as plain values."""
+    s, train = data.load_split(path), data.load_train(path)
+    halves = [(h.n_users, h.n_items, h.indptr.dtype, h.indices.dtype, h.indptr.tolist(),
+               h.indices.tolist(), h.user_ids, h.item_ids) for h in (s.train, s.test, train)]
+    return halves, (s.protocol, s.protocol_param, s.seed, s.n_excluded_users, s.n_swapped,
+                    s.n_rescued)
+
+
+def drop_cache(path):
+    (path / data.INDEX_CACHE).unlink()
+
+
+def reverse_train(path):
+    """A stale train digest: the same pairs, listed in another order, so the
+    text reader numbers users and items differently."""
+    train = path / "train.tsv"
+    train.write_text("".join(reversed(train.read_text().splitlines(True))))
+
+
+def drop_test_line(path):
+    """A stale test digest: one test pair fewer, split.meta updated to match."""
+    test, meta = path / "test.tsv", path / "split.meta"
+    lines = test.read_text().splitlines(True)
+    test.write_text("".join(lines[:-1]))
+    meta.write_text(meta.read_text().replace(f"n_test={len(lines)}\n",
+                                             f"n_test={len(lines) - 1}\n"))
+
+
+def truncate_cache(path):
+    cache = path / data.INDEX_CACHE
+    cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+
+
+class TestIndexCache:
+    @pytest.mark.parametrize("protocol", ["standard", "cold-start"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("edit, cached", [
+        (None, True), (drop_cache, False), (reverse_train, False), (drop_test_line, False),
+        (truncate_cache, False),
+    ], ids=["cache", "no-cache", "train-edited", "test-edited", "truncated-cache"])
+    def test_loads_what_the_text_reader_does(self, tmp_path, protocol, seed, edit, cached):
+        split_dir = cache_split(tmp_path, protocol, seed)
+        if edit:
+            edit(split_dir)
+        assert (data._read_cache(split_dir, data._HALVES) is not None) == cached
+        text_dir = tmp_path / "text"
+        shutil.copytree(split_dir, text_dir)
+        (text_dir / data.INDEX_CACHE).unlink(missing_ok=True)
+        assert loaded(split_dir) == loaded(text_dir)
+
+    def test_train_cache_serves_load_train_after_a_test_edit(self, tmp_path):
+        split_dir = cache_split(tmp_path, "standard", 3)
+        drop_test_line(split_dir)
+        assert data._read_cache(split_dir, ("train",)) is not None
+        (split_dir / "test.tsv").unlink()
+        assert data.load_train(split_dir).n_interactions() > 0

@@ -240,6 +240,27 @@ class TestBackward:
             assert np.array_equal(got.X_u0, G_V[:n_u])
             assert np.array_equal(got.X_i0, G_V[n_u:])
 
+    @pytest.mark.filterwarnings("ignore:.*interact with every item")
+    def test_shared_terms_change_nothing(self):
+        # The training loop hands the loss's terms to backward; the results
+        # are those of the standalone calls, bit for bit.
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            ds = random_interactions(rng, max_users=8, max_items=9, density=0.5)
+            cfg = model.ModelConfig(K=trial % 3, C=3, F=2, seed=trial)
+            kern = kernel_of(ds) if cfg.K else None
+            params = model.init_params(cfg, ds.n_users, ds.n_items)
+            batch = training.sample_batch(ds, 16, np.random.default_rng(trial))
+            factors, trace = model.forward(params, kern, cfg)
+            terms = training._pair_terms(factors, batch)
+            assert (training.bpr_loss(factors, batch, 1e-3, REG_FULL, terms=terms)
+                    == training.bpr_loss(factors, batch, 1e-3, REG_FULL))
+            shared = training.backward(params, kern, cfg, batch, 1e-3, trace, REG_FULL,
+                                       terms=terms)
+            alone = training.backward(params, kern, cfg, batch, 1e-3, trace, REG_FULL)
+            for a, b in zip(shared.arrays(), alone.arrays()):
+                assert np.array_equal(a, b)
+
     def test_requires_trace(self, toy_set):
         cfg = model.ModelConfig(K=1, C=3, F=3, seed=0)
         params = model.init_params(cfg, toy_set.n_users, toy_set.n_items)
