@@ -179,14 +179,14 @@ def parse_interactions(source, fmt: str) -> RawColumns:
     return _parse_lines(raw, fmt) if columns is None else columns
 
 
-def read_interactions(path, fmt: str) -> RawColumns:
-    """:func:`parse_interactions` of the file at ``path``; a ParseError names
-    the file as well as the line."""
-    with open(path, "rb") as fh:
-        try:
-            return parse_interactions(fh, fmt)
-        except ParseError as exc:
-            raise ParseError(exc.line_no, exc.reason, path) from None
+def read_interactions(path, fmt: str, raw: bytes | None = None) -> RawColumns:
+    """:func:`parse_interactions` of the file at ``path``, or of ``raw``, its
+    bytes when already read; a ParseError names the file as well as the line."""
+    raw = Path(path).read_bytes() if raw is None else raw
+    try:
+        return parse_interactions(raw, fmt)
+    except ParseError as exc:
+        raise ParseError(exc.line_no, exc.reason, path) from None
 
 
 def _scan(buf, fmt: str) -> RawColumns | None:
@@ -743,20 +743,19 @@ def _check_meta(meta: dict[str, str], src: Path, checks: dict[str, int]) -> None
 
 
 
-
-def _read_cache(src: Path, halves: tuple[str, ...]) -> list[InteractionSet] | None:
-    """The named halves from the index cache, or None unless it reads cleanly,
-    its arrays fit together and each half's tsv file hashes to the digest
-    recorded for it."""
+def _read_cache(src: Path, raw: dict[str, bytes]) -> list[InteractionSet] | None:
+    """The halves named in ``raw`` from the index cache, or None unless it
+    reads cleanly, its arrays fit together and each half's bytes hash to the
+    digest recorded for it. ``raw`` holds each half's tsv file, read once: on
+    a miss the text reader parses the same bytes."""
     try:
         with np.load(src / INDEX_CACHE, allow_pickle=False) as z:
-            for half in halves:
-                actual = hashlib.sha256((src / f"{half}.tsv").read_bytes()).digest()
-                if z[f"{half}_sha256"].tobytes() != actual:
+            for half, payload in raw.items():
+                if z[f"{half}_sha256"].tobytes() != hashlib.sha256(payload).digest():
                     return None
             user_ids = z["user_ids"].tobytes().decode("utf-8").split("\n")
             item_ids = z["item_ids"].tobytes().decode("utf-8").split("\n")
-            arrays = [(z[f"{half}_indptr"], z[f"{half}_indices"]) for half in halves]
+            arrays = [(z[f"{half}_indptr"], z[f"{half}_indices"]) for half in raw]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
     for indptr, indices in arrays:
@@ -768,11 +767,12 @@ def _read_cache(src: Path, halves: tuple[str, ...]) -> list[InteractionSet] | No
             for indptr, indices in arrays]
 
 
-def _load_train(src: Path, meta: dict[str, str], train: InteractionSet | None) -> InteractionSet:
-    """``train`` from the index cache, else train.tsv read as text; either
-    way checked against split.meta."""
+def _load_train(src: Path, meta: dict[str, str], train: InteractionSet | None,
+                raw: bytes) -> InteractionSet:
+    """``train`` from the index cache, else ``raw``, the bytes of train.tsv,
+    parsed as text; either way checked against split.meta."""
     if train is None:
-        columns = read_interactions(src / "train.tsv", "tsv")
+        columns = read_interactions(src / "train.tsv", "tsv", raw)
         train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
                                           columns.users, columns.items,
                                           columns.user_ids, columns.item_ids)
@@ -784,9 +784,9 @@ def _load_train(src: Path, meta: dict[str, str], train: InteractionSet | None) -
     return train
 
 
-def _read_test(src: Path, train: InteractionSet) -> InteractionSet:
-    """test.tsv read as text, in the index space of ``train``."""
-    columns = read_interactions(src / "test.tsv", "tsv")
+def _read_test(src: Path, train: InteractionSet, raw: bytes) -> InteractionSet:
+    """test.tsv's bytes ``raw`` parsed as text, in the index space of ``train``."""
+    columns = read_interactions(src / "test.tsv", "tsv", raw)
     # Only the distinct test ids are looked up in the train index space.
     users = _codes_in(columns.user_ids, train.user_ids)[columns.users]
     items = _codes_in(columns.item_ids, train.item_ids)[columns.items]
@@ -811,8 +811,9 @@ def load_train(in_dir) -> InteractionSet:
     """
     src = Path(in_dir)
     meta = _read_meta(src)
-    cached = _read_cache(src, ("train",))
-    return _load_train(src, meta, cached and cached[0])
+    raw = {"train": (src / "train.tsv").read_bytes()}
+    cached = _read_cache(src, raw)
+    return _load_train(src, meta, cached and cached[0], raw["train"])
 
 
 def load_split(in_dir) -> SplitPair:
@@ -822,9 +823,10 @@ def load_split(in_dir) -> SplitPair:
     both are parsed."""
     src = Path(in_dir)
     meta = _read_meta(src)
-    cached = _read_cache(src, _HALVES)
-    train = _load_train(src, meta, cached and cached[0])
-    test = cached[1] if cached else _read_test(src, train)
+    raw = {half: (src / f"{half}.tsv").read_bytes() for half in _HALVES}
+    cached = _read_cache(src, raw)
+    train = _load_train(src, meta, cached and cached[0], raw["train"])
+    test = cached[1] if cached else _read_test(src, train, raw["test"])
     _check_meta(meta, src, {"n_test": test.n_interactions()})
     return SplitPair(
         train=train,

@@ -87,8 +87,9 @@ def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: boo
     ap = np.empty_like(recall)
     for lo in range(0, len(users), BLOCK_ROWS):
         block = users[lo:lo + BLOCK_ROWS]
-        ranked = top_m_rows(factors.V_u[block] @ factors.V_i.T, seen[block].toarray(),
-                            cutoffs[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # top_m_rows reports it
+            ranked = top_m_rows(factors.V_u[block] @ factors.V_i.T, seen[block].toarray(),
+                                cutoffs[-1])
         hit = np.take_along_axis(relevant[block].toarray(), ranked, axis=1) & (ranked >= 0)
         hits = np.cumsum(hit, axis=1)
         # precision@k summed over the hit ranks k, in rank order

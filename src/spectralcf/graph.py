@@ -1,17 +1,16 @@
 """Bipartite graph construction, Laplacian eigensystem and spectral filtering.
 
-The vertex set stacks users first, items second. The eigenbasis is the
+The vertex set stacks users first, items second. The graph is stored as one
+operator, D^{-1/2} A D^{-1/2} = [[0, B], [B^T, 0]] with B = D_u^{-1/2} R
+D_i^{-1/2}, and nothing normalizes it again. The eigenbasis is the
 orthonormal eigensystem of the symmetric normalized Laplacian
 I - D^{-1/2} A D^{-1/2}, which shares its spectrum with the random-walk
-Laplacian I - D^{-1} A and makes the Fourier-transform identities exact.
-In that basis U U^T = I, so the propagation kernel U U^T + U Lambda U^T is
-the sparse closed form 2I - D^{-1/2} A D^{-1/2}, and the dense eigensystem
-is needed only to certify that and to filter in the frequency domain. It is
-computed when asked for and never stored.
-
-The graph is bipartite, so the Laplacian is I - [[0, B], [B^T, 0]] with
-B = D_u^{-1/2} R D_i^{-1/2}, and the full eigensystem comes from one SVD of
-the n_u x n_i block B: a singular triple (sigma, p, q) pairs [p; q]/sqrt(2)
+Laplacian I - D^{-1} A and makes the Fourier-transform identities exact. In
+that basis U U^T = I, so the propagation kernel U U^T + U Lambda U^T is the
+sparse closed form 2I - D^{-1/2} A D^{-1/2}, and the dense eigensystem is
+needed only to certify that and to filter in the frequency domain. It is
+computed when asked for and never stored. It comes from one SVD of the
+n_u x n_i block B: a singular triple (sigma, p, q) pairs [p; q]/sqrt(2)
 with eigenvalue 1 - sigma and [p; -q]/sqrt(2) with 1 + sigma, and the extra
 singular vectors of the larger side, padded with zeros, have eigenvalue 1.
 The dense (n_u + n_i)^2 Laplacian (``sym_laplacian_dense``) is built only
@@ -38,11 +37,12 @@ _RESIDUAL_BLOCK = 256  # columns per step of the eigen-residual, to bound its sc
 
 @dataclass
 class BipartiteGraph:
-    """User-item bipartite graph with adjacency [[0, R], [R^T, 0]]."""
+    """User-item bipartite graph: ``normalized`` is D^{-1/2} A D^{-1/2} (CSR)
+    of the adjacency A = [[0, R], [R^T, 0]], ``degree`` the diagonal of D."""
 
     n_users: int
     n_items: int
-    adjacency: sp.csr_matrix
+    normalized: sp.csr_matrix
     degree: np.ndarray
 
     @property
@@ -77,27 +77,23 @@ class ConvKernel:
 
 
 def build_graph(train: InteractionSet) -> BipartiteGraph:
-    """Assemble the adjacency and degree vector from training interactions."""
+    """The degrees and the normalized adjacency of the training interactions."""
     if not train.n_interactions():
         raise ValueError("training set is empty")
     R = train.to_csr()
-    A = sp.bmat([[None, R], [R.T, None]], format="csr")
-    degree = np.asarray(A.sum(axis=1)).ravel().astype(np.int64)
+    degree = np.concatenate([np.diff(R.indptr), np.bincount(R.indices, minlength=train.n_items)])
     if (degree < 1).any():
         bad = int(np.argmin(degree))
         raise ValueError(f"isolated vertex at index {bad}; degrees must be >= 1")
-    return BipartiteGraph(train.n_users, train.n_items, A, degree)
-
-
-def _sym_normalized_adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
-    d_inv_sqrt = 1.0 / np.sqrt(graph.degree.astype(np.float64))
-    D = sp.diags(d_inv_sqrt)
-    return (D @ graph.adjacency @ D).tocsr()
+    d_inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    R.data = d_inv_sqrt[train.rows()] * d_inv_sqrt[train.n_users + R.indices]
+    normalized = sp.bmat([[None, R], [R.T, None]], format="csr")
+    return BipartiteGraph(train.n_users, train.n_items, normalized, degree.astype(np.int64))
 
 
 def sym_laplacian_dense(graph: BipartiteGraph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2} as a dense array, symmetrized, built in one buffer."""
-    L = _sym_normalized_adjacency(graph).toarray()
+    L = graph.normalized.toarray()
     np.negative(L, out=L)
     L.flat[:: graph.n_vertices + 1] += 1.0
     L += L.T
@@ -106,13 +102,12 @@ def sym_laplacian_dense(graph: BipartiteGraph) -> np.ndarray:
 
 
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if len(nz) and col[nz[0]] < 0:
-            out[:, c] = -col
-    return out
+    """Each column negated when its first entry beyond +-1e-12 is negative."""
+    big = (vectors > 1e-12) | (vectors < -1e-12)
+    first = big.argmax(axis=0)
+    cols = np.arange(vectors.shape[1])
+    flip = big[first, cols] & (vectors[first, cols] < 0)
+    return vectors * np.where(flip, -1.0, 1.0)
 
 
 def _tie_break_degenerate(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -168,22 +163,21 @@ def eigendecompose(graph: BipartiteGraph) -> SpectralBasis:
     eigenvalue 1 - sigma_j with [p_j; q_j]/sqrt(2) and 1 + sigma_j with
     [p_j; -q_j]/sqrt(2), and the remaining singular vectors of the larger
     side, padded with zeros, give eigenvalue 1. The dense n x n Laplacian
-    is never built; the residual is checked through the sparse adjacency.
+    is never built; the residual is checked through the sparse operator.
 
-    Eigenvalues are ascending. Each column's first nonzero entry is made
-    positive, then columns within a tie are ordered lexicographically. The
+    Eigenvalues are ascending. Each column's first entry beyond +-1e-12 is
+    made positive, then columns within a tie are ordered lexicographically. The
     residual of the final pairing above 1e-8 raises NumericError.
     """
-    A_norm = _sym_normalized_adjacency(graph)
-    values, vectors = _bipartite_eigensystem(A_norm, graph.n_users)
+    values, vectors = _bipartite_eigensystem(graph.normalized, graph.n_users)
     vectors = _canonical_sign(vectors)
     vectors = _tie_break_degenerate(values, vectors)
     residual = 0.0
     for start in range(0, len(values), _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
         block = vectors[:, cols]
-        # L U - U Lambda = U (1 - Lambda) - A_norm U, one column block at a time.
-        scratch = block * (1.0 - values[cols]) - A_norm @ block
+        # L U - U Lambda = U (1 - Lambda) - normalized U, one column block at a time.
+        scratch = block * (1.0 - values[cols]) - graph.normalized @ block
         residual = max(residual, np.abs(scratch).max())
     _check_residual(residual)
     return SpectralBasis(values, vectors)
@@ -267,8 +261,7 @@ def conv_kernel(graph: BipartiteGraph, basis: SpectralBasis | None, form: str) -
         K = (U * (1.0 + basis.eigenvalues)) @ U.T
         return ConvKernel(K)
     if form == KERNEL_CLOSED_SPARSE:
-        A_norm = _sym_normalized_adjacency(graph)
-        K = (2.0 * sp.identity(graph.n_vertices, format="csr") - A_norm).tocsr()
+        K = (2.0 * sp.identity(graph.n_vertices, format="csr") - graph.normalized).tocsr()
         return ConvKernel(K)
     raise ValueError(f"unknown kernel form: {form!r}")
 
@@ -307,22 +300,21 @@ def spectral_coordinates(graph: BipartiteGraph, k: int) -> np.ndarray:
     Laplacian eigenvalue 1 - mu), its top pair (mu = 1) is dropped, and the k
     smallest Laplacian eigenvalues of the pool are kept, ties in component
     order. Memory is O(nk) plus the small dense blocks. Columns are unit
-    eigenvectors of I - D^{-1/2} A D^{-1/2}, first nonzero entry positive.
+    eigenvectors of I - D^{-1/2} A D^{-1/2}, first entry beyond +-1e-12 positive.
     Residuals above 1e-8 raise NumericError.
     """
     from scipy.sparse.csgraph import connected_components  # only spectral-embed needs it
 
     check_coordinate_count(k)
-    A_norm = _sym_normalized_adjacency(graph)
     n = graph.n_vertices
-    n_comp, label = connected_components(A_norm, directed=False)
+    n_comp, label = connected_components(graph.normalized, directed=False)
     if k > n - n_comp:
         raise DimensionError(f"k={k} out of range [1, {n - n_comp}]")
 
     # Components as contiguous diagonal blocks, vertices ascending in each.
     order = np.argsort(label, kind="stable")
     bounds = np.searchsorted(label[order], np.arange(n_comp + 1))
-    blocks = A_norm[order][:, order]
+    blocks = graph.normalized[order][:, order]
     pool = []  # (Laplacian eigenvalue, vertices, eigenvector), component by component
     for start, stop in zip(bounds[:-1], bounds[1:]):
         mu, U = _top_pairs(blocks[start:stop, start:stop], k + 1)
@@ -333,6 +325,6 @@ def spectral_coordinates(graph: BipartiteGraph, k: int) -> np.ndarray:
     coords = np.zeros((n, k))
     for j, (_, vertices, u) in enumerate(chosen):
         coords[vertices, j] = u
-    residual = coords - A_norm @ coords - coords * lam
+    residual = coords - graph.normalized @ coords - coords * lam
     _check_residual(np.abs(residual).max())
     return _canonical_sign(coords)

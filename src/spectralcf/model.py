@@ -141,7 +141,8 @@ def forward(params: ModelParams, kernel: ConvKernel | None, config: ModelConfig)
     kxs = []
     for k in range(config.K):
         KX = kernel.apply(xs[-1])
-        Z = KX @ params.thetas[k]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            Z = KX @ params.thetas[k]
         if not np.isfinite(Z).all():
             raise NumericError(f"non-finite pre-activation at layer {k + 1}")
         kxs.append(KX)

@@ -142,10 +142,11 @@ def bpr_loss(factors: FactorTable, batch: Batch, reg: float,
     if not len(r):
         raise ValueError("batch is empty")
     _, diff = _pair_terms(factors, batch) if terms is None else terms
-    loss = np.logaddexp(0.0, -diff).sum()
-    if reg != 0.0:
-        ur, ir = _reg_rows(r, j, jn, reg_scope)
-        loss += reg * ((factors.V_u[ur] ** 2).sum() + (factors.V_i[ir] ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        loss = np.logaddexp(0.0, -diff).sum()
+        if reg != 0.0:
+            ur, ir = _reg_rows(r, j, jn, reg_scope)
+            loss += reg * ((factors.V_u[ur] ** 2).sum() + (factors.V_i[ir] ** 2).sum())
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
     return float(loss)

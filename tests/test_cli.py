@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,18 @@ class TestTrainEvaluateRecommend:
         assert "training aborted" in err
         after = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
         assert after == before
+
+    @pytest.mark.parametrize("extra", [(), ("--model", "bpr-mf"), ("-K", "0")],
+                             ids=["spectralcf", "bpr-mf", "K0"])
+    def test_divergence_prints_one_error_line(self, workspace, capsys, extra):
+        tmp_path, _, split_dir = workspace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self._train(capsys, split_dir, tmp_path / "diverged",
+                                         extra=(*extra, "--lr", "1e300", "--epochs", "50"))
+        assert code == 1
+        assert err.startswith("error: ") and "training aborted" in err
+        assert err.count("\n") == 1
 
     def test_kernel_forms_reach_same_loss(self, workspace, capsys):
         tmp_path, _, split_dir = workspace

@@ -1,6 +1,10 @@
+import builtins
 import errno
+import io
+import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +559,12 @@ def loaded(path):
                     s.n_rescued)
 
 
+def cache_hit(split_dir, halves):
+    """Whether the index cache serves the named halves as the files stand."""
+    raw = {half: (split_dir / f"{half}.tsv").read_bytes() for half in halves}
+    return data._read_cache(split_dir, raw) is not None
+
+
 def drop_cache(path):
     (path / data.INDEX_CACHE).unlink()
 
@@ -591,7 +601,7 @@ class TestIndexCache:
         split_dir = cache_split(tmp_path, protocol, seed)
         if edit:
             edit(split_dir)
-        assert (data._read_cache(split_dir, data._HALVES) is not None) == cached
+        assert cache_hit(split_dir, data._HALVES) == cached
         text_dir = tmp_path / "text"
         shutil.copytree(split_dir, text_dir)
         (text_dir / data.INDEX_CACHE).unlink(missing_ok=True)
@@ -600,6 +610,24 @@ class TestIndexCache:
     def test_train_cache_serves_load_train_after_a_test_edit(self, tmp_path):
         split_dir = cache_split(tmp_path, "standard", 3)
         drop_test_line(split_dir)
-        assert data._read_cache(split_dir, ("train",)) is not None
+        assert cache_hit(split_dir, ("train",))
         (split_dir / "test.tsv").unlink()
         assert data.load_train(split_dir).n_interactions() > 0
+
+    def test_stale_cache_reads_train_tsv_once(self, tmp_path, monkeypatch):
+        split_dir = cache_split(tmp_path, "standard", 4)
+        reverse_train(split_dir)
+        opened, real_open = [], io.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        train = data.load_train(split_dir)
+        monkeypatch.undo()
+        assert opened.count("train.tsv") == 1
+        assert opened.count(data.INDEX_CACHE) == 1
+        assert train.n_interactions() == data.load_train(split_dir).n_interactions()

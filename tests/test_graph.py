@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import subspace_angles
 from scipy.sparse.csgraph import connected_components
 
-from spectralcf import graph
+from spectralcf import data, graph
 from spectralcf.errors import DegenerateInterpolationError, DimensionError
 from spectralcf.graph import KERNEL_CLOSED_SPARSE, KERNEL_DENSE_EIG
 
@@ -27,11 +28,28 @@ def union_find_components(n_users, n_items, pairs):
     return len({find(v) for v in range(n_users + n_items)})
 
 
+def normalized_by_definition(ds):
+    """D^-1/2 A D^-1/2 from the definition: A = [[0, R], [R^T, 0]] and D its
+    row sums, as products with diagonal matrices."""
+    R = ds.to_csr()
+    A = sp.bmat([[None, R], [R.T, None]], format="csr")
+    degree = np.asarray(A.sum(axis=1)).ravel().astype(np.int64)
+    D = sp.diags(1.0 / np.sqrt(degree.astype(np.float64)))
+    return (D @ A @ D).tocsr(), degree
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.shape == b.shape
+
+
 class TestBuildGraph:
     def test_toy_graph_shape_and_degrees(self, toy_set):
         g = graph.build_graph(toy_set)
         assert g.n_vertices == 7
-        assert g.adjacency.nnz == 14  # seven undirected edges
+        assert g.normalized.nnz == 14  # seven undirected edges
         assert list(g.degree[:3]) == [1, 3, 3]
         assert list(g.degree[3:]) == [3, 1, 1, 2]
 
@@ -39,7 +57,7 @@ class TestBuildGraph:
         ds = make_interactions(1, 1, {(0, 0)})
         g = graph.build_graph(ds)
         assert g.n_vertices == 2
-        assert g.adjacency.toarray().tolist() == [[0, 1], [1, 0]]
+        assert g.normalized.toarray().tolist() == [[0, 1], [1, 0]]
         assert list(g.degree) == [1, 1]
 
     def test_complete_bipartite_2x2(self):
@@ -52,11 +70,35 @@ class TestBuildGraph:
         for _ in range(10):
             ds = random_interactions(rng)
             g = graph.build_graph(ds)
-            a = g.adjacency.toarray()
+            a = g.normalized.toarray()
             nu = ds.n_users
             assert not a[:nu, :nu].any()
             assert not a[nu:, nu:].any()
             assert np.array_equal(a, a.T)
+
+    def _assert_operator_by_definition(self, ds):
+        g = graph.build_graph(ds)
+        want, degree = normalized_by_definition(ds)
+        assert_same_csr(g.normalized, want)
+        assert g.degree.dtype == np.int64 and np.array_equal(g.degree, degree)
+        K = graph.conv_kernel(g, None, KERNEL_CLOSED_SPARSE).matrix
+        assert_same_csr(K, (2.0 * sp.identity(g.n_vertices, format="csr") - want).tocsr())
+
+    def test_operator_is_the_definition_on_the_toy_graph(self, toy_set):
+        self._assert_operator_by_definition(toy_set)
+
+    def test_operator_is_the_definition_on_random_graphs(self):
+        rng = np.random.default_rng(40)
+        n_leaves = 0
+        for _ in range(40):
+            ds = random_interactions(rng, max_users=30, max_items=40, density=0.08)
+            n_leaves += int((graph.build_graph(ds).degree == 1).sum())
+            self._assert_operator_by_definition(ds)
+        assert n_leaves > 0
+
+    def test_operator_is_the_definition_on_a_cold_start_split(self):
+        split = data.split_cold_start(two_community_dataset(3, n_users=120, n_items=80), 2, 0)
+        self._assert_operator_by_definition(split.train)
 
 
 class TestEigendecompose:
@@ -137,7 +179,7 @@ class TestEigendecompose:
             g = self._several_components(rng, *shape)
             n_u, n = g.n_users, g.n_vertices
             L = graph.sym_laplacian_dense(g)
-            assert connected_components(g.adjacency)[0] >= 4
+            assert connected_components(g.normalized)[0] >= 4
             assert np.linalg.matrix_rank(L[:n_u, n_u:]) < min(n_u, n - n_u)
             basis = graph.eigendecompose(g)
             U, lam = basis.eigenvectors, basis.eigenvalues
@@ -407,6 +449,34 @@ class TestSpectralCoordinates:
             graph.spectral_coordinates(g, 0)
 
 
+def canonical_sign_by_loop(vectors):
+    """Reference sign rule: column by column, negate when the first entry
+    above 1e-12 in magnitude is negative."""
+    out = vectors.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if len(nz) and col[nz[0]] < 0:
+            out[:, c] = -col
+    return out
+
+
+def test_canonical_sign_matches_the_loop():
+    rng = np.random.default_rng(9)
+    edge = np.nextafter(1e-12, 1.0)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        vectors = rng.standard_normal((n, m))
+        # Leading runs of zeros and of entries on either side of the threshold.
+        lead = rng.integers(n + 1, size=m)
+        for c in range(m):
+            vectors[:lead[c], c] = rng.choice([0.0, -0.0, 1e-12, -1e-12, 5e-13], size=lead[c])
+        vectors[rng.random((n, m)) < 0.1] = rng.choice([edge, -edge])
+        vectors[:, rng.random(m) < 0.2] = 0.0
+        got = graph._canonical_sign(vectors)
+        assert got.tobytes() == canonical_sign_by_loop(vectors).tobytes()
+
+
 def disjoint_union(rng, blocks):
     """The blocks' interactions as separate components of one set, with user
     and item indices shuffled so that the components interleave."""
@@ -420,8 +490,9 @@ def disjoint_union(rng, blocks):
 
 
 def dense_laplacian(g):
-    """I - D^-1/2 A D^-1/2 from the definition."""
-    A = g.adjacency.toarray().astype(np.float64)
+    """I - D^-1/2 A D^-1/2 from the definition, with A the nonzero pattern of
+    the stored operator."""
+    A = (g.normalized.toarray() != 0).astype(np.float64)
     d = g.degree.astype(np.float64)
     return np.eye(g.n_vertices) - A / np.sqrt(np.outer(d, d))
 
@@ -462,7 +533,7 @@ class TestPartialSolver:
                       random_interactions(rng), twin, twin, *self.ISLANDS,
                       make_interactions(1, 1, {(0, 0)})]
             g = graph.build_graph(disjoint_union(rng, blocks))
-            k_max = g.n_vertices - connected_components(g.adjacency)[0]
+            k_max = g.n_vertices - connected_components(g.normalized)[0]
             for k in (1, 2, 3, 7, int(rng.integers(8, k_max)), k_max):
                 assert_matches_full_eigensystem(g, k)
 
