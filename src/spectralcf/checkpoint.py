@@ -20,13 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_open, check_size, read_exact
+from .data import atomic_open
 from .model import ModelConfig, ModelParams
 
 _MAGIC = b"SPCK"
 _VERSION = 1
 TYPE_SPECTRAL = 0
 TYPE_LEGACY_BPR_MF = 1
+# After the magic: the version and the tag, then the header of that tag.
+_PREFIX = struct.Struct("<IB")
+_HEADERS = {
+    TYPE_SPECTRAL: struct.Struct("<IIIQQdd"),  # K, C, F, n_users, n_items, decay, epsilon
+    TYPE_LEGACY_BPR_MF: struct.Struct("<IQQdd"),  # d, n_users, n_items, decay, epsilon
+}
 
 
 @dataclass
@@ -41,12 +47,9 @@ def save_checkpoint(ckpt: SpectralCheckpoint, path) -> None:
     """Write ``ckpt`` to ``path`` atomically: a failed save keeps the old file."""
     cfg, params = ckpt.config, ckpt.params
     with atomic_open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IB", _VERSION, TYPE_SPECTRAL))
-        fh.write(struct.pack(
-            "<IIIQQdd", cfg.K, cfg.C, cfg.F, params.n_users, params.n_items,
-            ckpt.rms_decay, ckpt.rms_epsilon,
-        ))
+        fh.write(_MAGIC + _PREFIX.pack(_VERSION, TYPE_SPECTRAL))
+        fh.write(_HEADERS[TYPE_SPECTRAL].pack(cfg.K, cfg.C, cfg.F, params.n_users,
+                                              params.n_items, ckpt.rms_decay, ckpt.rms_epsilon))
         for arr in params.arrays():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -58,28 +61,40 @@ def _header_config(path: Path, **fields) -> ModelConfig:
         raise ValueError(f"{path}: bad header: {exc}") from exc
 
 
+def _unpack(fmt: struct.Struct, buf: bytes, offset: int, path: Path):
+    """(the fields of ``fmt`` at ``offset`` of ``buf``, the offset after them)."""
+    if len(buf) < offset + fmt.size:
+        raise ValueError(f"{path}: truncated file")
+    return fmt.unpack_from(buf, offset), offset + fmt.size
+
+
 def load_checkpoint(path) -> SpectralCheckpoint:
-    """Read a checkpoint; a legacy BPR-MF file comes back as the K = 0 model."""
+    """Read a checkpoint in one read; a legacy BPR-MF file comes back as the
+    K = 0 model."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, tag = struct.unpack("<IB", read_exact(fh, 5, path))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if tag == TYPE_SPECTRAL:
-            K, C, F, n_users, n_items, decay, eps = struct.unpack(
-                "<IIIQQdd", read_exact(fh, 44, path))
-            config = _header_config(path, K=K, C=C, F=F)
-        elif tag == TYPE_LEGACY_BPR_MF:
-            C, n_users, n_items, decay, eps = struct.unpack("<IQQdd", read_exact(fh, 36, path))
-            config = _header_config(path, K=0, C=C)
-        else:
-            raise ValueError(f"{path}: unknown model-type tag {tag}")
-        shapes = config.shapes(n_users, n_items)
-        check_size(fh, fh.tell() + 8 * sum(rows * cols for rows, cols in shapes), path)
-        params = ModelParams.from_arrays([
-            np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").copy().reshape(rows, cols)
-            for rows, cols in shapes
-        ])
-    return SpectralCheckpoint(params, config, decay, eps)
+    buf = path.read_bytes()
+    if buf[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (version, tag), offset = _unpack(_PREFIX, buf, len(_MAGIC), path)
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if tag not in _HEADERS:
+        raise ValueError(f"{path}: unknown model-type tag {tag}")
+    fields, offset = _unpack(_HEADERS[tag], buf, offset, path)
+    if tag == TYPE_SPECTRAL:
+        K, C, F, n_users, n_items, decay, eps = fields
+        config = _header_config(path, K=K, C=C, F=F)
+    else:
+        C, n_users, n_items, decay, eps = fields
+        config = _header_config(path, K=0, C=C)
+    shapes = config.shapes(n_users, n_items)
+    expected = offset + 8 * sum(rows * cols for rows, cols in shapes)
+    if len(buf) < expected:
+        raise ValueError(f"{path}: truncated file ({len(buf)} of {expected} bytes)")
+    if len(buf) > expected:
+        raise ValueError(f"{path}: {len(buf) - expected} trailing bytes after the last array")
+    arrays = []
+    for rows, cols in shapes:
+        arrays.append(np.frombuffer(buf, "<f8", rows * cols, offset).reshape(rows, cols).copy())
+        offset += 8 * rows * cols
+    return SpectralCheckpoint(ModelParams.from_arrays(arrays), config, decay, eps)

@@ -108,28 +108,6 @@ COMMAND_OPTIONS = {
 }
 
 
-def load_config_file(path) -> dict:
-    """Read a flat key=value config file; '#' lines and blanks are skipped,
-    and a key may be given only once."""
-    cfg = {}
-    first_line = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in cfg:
-                raise ValueError(f"{path}:{line_no}: key {key!r} given again "
-                                 f"(first on line {first_line[key]})")
-            cfg[key] = value.strip()
-            first_line[key] = line_no
-    return cfg
-
-
 def _out_dir(args) -> Path:
     env = os.environ.get(OUT_DIR_ENV)
     if env:
@@ -405,7 +383,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     command. All of this happens before any data file is read.
     """
     args = build_parser().parse_args(argv)
-    cfg = load_config_file(args.config) if args.config else {}
+    cfg = data.read_key_values(args.config) if args.config else {}
     for key in cfg:
         if key not in OPTIONS:
             raise ValueError(f"{args.config}: unknown key {key!r}")

@@ -33,6 +33,8 @@ PROTOCOL_COLD_START = "cold_start"
 # halves it holds, each keyed by the sha256 of its tsv file.
 INDEX_CACHE = "index.npz"
 _HALVES = ("train", "test")
+# The only split.meta format_version the loader reads.
+SPLIT_FORMAT_VERSION = 1
 
 # Field separator, allowed field counts and their wording in error messages.
 _FORMATS = {
@@ -657,25 +659,6 @@ def atomic_open(path, mode="wb", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def read_exact(fh, n: int, path) -> bytes:
-    """The next ``n`` bytes of a binary file; a short read raises ValueError
-    naming ``path``."""
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError(f"{path}: truncated file")
-    return buf
-
-
-def check_size(fh, expected: int, path) -> None:
-    """Raise ValueError naming ``path`` unless the open file is ``expected``
-    bytes long, so a header is checked against the data before it is read."""
-    size = os.fstat(fh.fileno()).st_size
-    if size < expected:
-        raise ValueError(f"{path}: truncated file ({size} of {expected} bytes)")
-    if size > expected:
-        raise ValueError(f"{path}: {size - expected} trailing bytes after the last array")
-
-
 def _write_files(out: Path, payloads: dict[str, bytes]) -> None:
     """Write every payload to its temporary file before moving any of them
     into place, so a failed write leaves all the previous files intact."""
@@ -689,7 +672,7 @@ def save_split(split: SplitPair, out_dir) -> None:
     into ``out_dir``, all or none of them."""
     train = split.train
     meta = {
-        "format_version": 1,
+        "format_version": SPLIT_FORMAT_VERSION,
         "protocol": split.protocol,
         "protocol_param": split.protocol_param,
         "seed": split.seed,
@@ -709,15 +692,27 @@ def save_split(split: SplitPair, out_dir) -> None:
     _write_files(out, payloads)
 
 
-def _read_meta(src: Path) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    with open(src / "split.meta", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    return meta
+def read_key_values(path) -> dict[str, str]:
+    """Read a flat key=value file (a ``--config`` file or split.meta): '#'
+    lines and blanks are skipped, and a key may be given only once. Any other
+    line raises ParseError naming the file and the line."""
+    values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ParseError(line_no, f"expected key=value, got {line!r}", path)
+            key = key.strip()
+            if key in values:
+                raise ParseError(line_no, f"key {key!r} given again "
+                                          f"(first on line {first_line[key]})", path)
+            values[key] = value.strip()
+            first_line[key] = line_no
+    return values
 
 
 def _meta_field(meta: dict[str, str], src: Path, key: str, cast, default=None):
@@ -742,14 +737,14 @@ def _check_meta(meta: dict[str, str], src: Path, checks: dict[str, int]) -> None
             )
 
 
-
 def _read_cache(src: Path, raw: dict[str, bytes]) -> list[InteractionSet] | None:
     """The halves named in ``raw`` from the index cache, or None unless it
     reads cleanly, its arrays fit together and each half's bytes hash to the
     digest recorded for it. ``raw`` holds each half's tsv file, read once: on
-    a miss the text reader parses the same bytes."""
+    a miss the text reader parses the same bytes. The file is opened here,
+    not by ``np.load``, so one that is no zip leaves no handle open."""
     try:
-        with np.load(src / INDEX_CACHE, allow_pickle=False) as z:
+        with open(src / INDEX_CACHE, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             for half, payload in raw.items():
                 if z[f"{half}_sha256"].tobytes() != hashlib.sha256(payload).digest():
                     return None
@@ -767,23 +762,6 @@ def _read_cache(src: Path, raw: dict[str, bytes]) -> list[InteractionSet] | None
             for indptr, indices in arrays]
 
 
-def _load_train(src: Path, meta: dict[str, str], train: InteractionSet | None,
-                raw: bytes) -> InteractionSet:
-    """``train`` from the index cache, else ``raw``, the bytes of train.tsv,
-    parsed as text; either way checked against split.meta."""
-    if train is None:
-        columns = read_interactions(src / "train.tsv", "tsv", raw)
-        train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
-                                          columns.users, columns.items,
-                                          columns.user_ids, columns.item_ids)
-    _check_meta(meta, src, {
-        "n_users": train.n_users,
-        "n_items": train.n_items,
-        "n_train": train.n_interactions(),
-    })
-    return train
-
-
 def _read_test(src: Path, train: InteractionSet, raw: bytes) -> InteractionSet:
     """test.tsv's bytes ``raw`` parsed as text, in the index space of ``train``."""
     columns = read_interactions(src / "test.tsv", "tsv", raw)
@@ -799,6 +777,38 @@ def _read_test(src: Path, train: InteractionSet, raw: bytes) -> InteractionSet:
                                      train.user_ids, train.item_ids)
 
 
+def _load(src: Path, with_test: bool):
+    """(split.meta, the train half, the test half or None): the one reader of
+    a persisted split. test.tsv is read only ``with_test``, and each tsv file
+    read is read once. The index cache serves the halves when every file read
+    hashes to its digest; otherwise their bytes are parsed. The train counts
+    are checked against split.meta before test.tsv is parsed."""
+    meta = read_key_values(src / "split.meta")
+    if _meta_field(meta, src, "format_version", int) != SPLIT_FORMAT_VERSION:
+        raise SplitFormatError(
+            f"{src / 'split.meta'}: unsupported format_version {meta['format_version']}")
+    halves = _HALVES if with_test else _HALVES[:1]
+    raw = {half: (src / f"{half}.tsv").read_bytes() for half in halves}
+    cached = _read_cache(src, raw)
+    if cached:
+        train = cached[0]
+    else:
+        columns = read_interactions(src / "train.tsv", "tsv", raw["train"])
+        train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
+                                          columns.users, columns.items,
+                                          columns.user_ids, columns.item_ids)
+    _check_meta(meta, src, {
+        "n_users": train.n_users,
+        "n_items": train.n_items,
+        "n_train": train.n_interactions(),
+    })
+    if not with_test:
+        return meta, train, None
+    test = cached[1] if cached else _read_test(src, train, raw["test"])
+    _check_meta(meta, src, {"n_test": test.n_interactions()})
+    return meta, train, test
+
+
 def load_train(in_dir) -> InteractionSet:
     """Load the train half of a persisted split; test.tsv is not read.
 
@@ -807,13 +817,10 @@ def load_train(in_dir) -> InteractionSet:
     not match the in-memory split that wrote them; all ids round-trip). It
     comes from the index cache when train.tsv hashes to the digest the cache
     records, else from parsing train.tsv. The user, item and train-pair
-    counts must match split.meta.
+    counts must match split.meta, whose format_version must be
+    ``SPLIT_FORMAT_VERSION``.
     """
-    src = Path(in_dir)
-    meta = _read_meta(src)
-    raw = {"train": (src / "train.tsv").read_bytes()}
-    cached = _read_cache(src, raw)
-    return _load_train(src, meta, cached and cached[0], raw["train"])
+    return _load(Path(in_dir), with_test=False)[1]
 
 
 def load_split(in_dir) -> SplitPair:
@@ -822,12 +829,7 @@ def load_split(in_dir) -> SplitPair:
     serves both halves when both tsv files hash to its digests; otherwise
     both are parsed."""
     src = Path(in_dir)
-    meta = _read_meta(src)
-    raw = {half: (src / f"{half}.tsv").read_bytes() for half in _HALVES}
-    cached = _read_cache(src, raw)
-    train = _load_train(src, meta, cached and cached[0], raw["train"])
-    test = cached[1] if cached else _read_test(src, train, raw["test"])
-    _check_meta(meta, src, {"n_test": test.n_interactions()})
+    meta, train, test = _load(src, with_test=True)
     return SplitPair(
         train=train,
         test=test,

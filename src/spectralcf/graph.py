@@ -38,12 +38,11 @@ _RESIDUAL_BLOCK = 256  # columns per step of the eigen-residual, to bound its sc
 @dataclass
 class BipartiteGraph:
     """User-item bipartite graph: ``normalized`` is D^{-1/2} A D^{-1/2} (CSR)
-    of the adjacency A = [[0, R], [R^T, 0]], ``degree`` the diagonal of D."""
+    of the adjacency A = [[0, R], [R^T, 0]], D its diagonal degree matrix."""
 
     n_users: int
     n_items: int
     normalized: sp.csr_matrix
-    degree: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -77,7 +76,7 @@ class ConvKernel:
 
 
 def build_graph(train: InteractionSet) -> BipartiteGraph:
-    """The degrees and the normalized adjacency of the training interactions."""
+    """The normalized adjacency of the training interactions."""
     if not train.n_interactions():
         raise ValueError("training set is empty")
     R = train.to_csr()
@@ -88,7 +87,7 @@ def build_graph(train: InteractionSet) -> BipartiteGraph:
     d_inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
     R.data = d_inv_sqrt[train.rows()] * d_inv_sqrt[train.n_users + R.indices]
     normalized = sp.bmat([[None, R], [R.T, None]], format="csr")
-    return BipartiteGraph(train.n_users, train.n_items, normalized, degree.astype(np.int64))
+    return BipartiteGraph(train.n_users, train.n_items, normalized)
 
 
 def sym_laplacian_dense(graph: BipartiteGraph) -> np.ndarray:

@@ -636,7 +636,7 @@ class TestConfigPrecedence:
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 1
-        assert "bad.cfg:1" in err
+        assert "bad.cfg: line 1: expected key=value" in err
 
 
 class TestOutDirEnv:
@@ -775,7 +775,7 @@ class TestOptionTable:
         code, _, err = run(capsys, ["train", *required_argv("train", tmp_path / "missing"),
                                     "--config", str(config)])
         assert code == 1
-        assert err == f"error: {config}:4: key 'K' given again (first on line 1)\n"
+        assert err == f"error: {config}: line 4: key 'K' given again (first on line 1)\n"
 
     @pytest.mark.parametrize("command, flags, message", [
         ("split", ["--fraction", "1.8"], "train_fraction must be in (0, 1)"),

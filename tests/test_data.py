@@ -423,6 +423,36 @@ class TestSplitPersistence:
         err = capsys.readouterr().err
         assert "split.meta" in err and "n_users" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("format_version=1\n", ""), "missing key 'format_version'"),
+        (lambda text: text.replace("format_version=1", "format_version=2"),
+         "unsupported format_version 2"),
+    ], ids=["missing", "other"])
+    def test_format_version_checked(self, tmp_path, toy_set, capsys, edit, message):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        meta = tmp_path / "split.meta"
+        meta.write_text(edit(meta.read_text()))
+        for load in (data.load_train, data.load_split):
+            with pytest.raises(SplitFormatError, match=re.escape(f"{meta}: {message}")):
+                load(tmp_path)
+        assert cli.main(["train", "--split-dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+
+    @pytest.mark.parametrize("line, reason", [
+        ("seed=4", "key 'seed' given again (first on line 4)"),
+        ("n_users 3", "expected key=value, got 'n_users 3'"),
+    ], ids=["duplicate-key", "no-equals"])
+    def test_malformed_meta_line_names_file_and_line(self, tmp_path, toy_set, line, reason):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        meta = tmp_path / "split.meta"
+        lines = meta.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("seed=")
+        meta.write_text("".join(lines + [line + "\n"]))
+        for load in (data.load_train, data.load_split):
+            with pytest.raises(ParseError) as info:
+                load(tmp_path)
+            assert str(info.value) == f"{meta}: line {len(lines) + 1}: {reason}"
+
     def test_test_pair_outside_train_index_space_named(self, tmp_path, toy_set):
         data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
         with open(tmp_path / "test.tsv", "a", encoding="utf-8") as fh:
