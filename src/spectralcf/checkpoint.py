@@ -5,11 +5,8 @@ u32 K, C, F, u64 n_users, n_items, f64 RMSprop decay and epsilon, then
 the arrays of ``ModelParams.arrays()`` (X_u0, X_i0 and the K filter matrices,
 shaped by ``ModelConfig.shapes``) row-major as 64-bit floats. BPR-MF is
 the K = 0 model and is written the same way. Round-trips are bit-exact.
-
-Older BPR-MF files carry tag 1 (u32 d, u64 n_users, n_items, f64 decay,
-epsilon, then the user and item tables); they are read as K = 0 models.
-A short or over-long file, or a header with C or F of 0, raises ValueError
-naming it.
+A short or over-long file, another tag, or a header with C or F of 0,
+raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -26,13 +23,9 @@ from .model import ModelConfig, ModelParams
 _MAGIC = b"SPCK"
 _VERSION = 1
 TYPE_SPECTRAL = 0
-TYPE_LEGACY_BPR_MF = 1
-# After the magic: the version and the tag, then the header of that tag.
+# After the magic: the version and the tag, then the header.
 _PREFIX = struct.Struct("<IB")
-_HEADERS = {
-    TYPE_SPECTRAL: struct.Struct("<IIIQQdd"),  # K, C, F, n_users, n_items, decay, epsilon
-    TYPE_LEGACY_BPR_MF: struct.Struct("<IQQdd"),  # d, n_users, n_items, decay, epsilon
-}
+_HEADER = struct.Struct("<IIIQQdd")  # K, C, F, n_users, n_items, decay, epsilon
 
 
 @dataclass
@@ -48,8 +41,8 @@ def save_checkpoint(ckpt: SpectralCheckpoint, path) -> None:
     cfg, params = ckpt.config, ckpt.params
     with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC + _PREFIX.pack(_VERSION, TYPE_SPECTRAL))
-        fh.write(_HEADERS[TYPE_SPECTRAL].pack(cfg.K, cfg.C, cfg.F, params.n_users,
-                                              params.n_items, ckpt.rms_decay, ckpt.rms_epsilon))
+        fh.write(_HEADER.pack(cfg.K, cfg.C, cfg.F, params.n_users, params.n_items,
+                              ckpt.rms_decay, ckpt.rms_epsilon))
         for arr in params.arrays():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -69,8 +62,9 @@ def _unpack(fmt: struct.Struct, buf: bytes, offset: int, path: Path):
 
 
 def load_checkpoint(path) -> SpectralCheckpoint:
-    """Read a checkpoint in one read; a legacy BPR-MF file comes back as the
-    K = 0 model."""
+    """Read a checkpoint in one read. Its size is checked against the header
+    before any array is laid out, so a header with a huge K fails as
+    truncated without building K shapes."""
     path = Path(path)
     buf = path.read_bytes()
     if buf[:len(_MAGIC)] != _MAGIC:
@@ -78,23 +72,19 @@ def load_checkpoint(path) -> SpectralCheckpoint:
     (version, tag), offset = _unpack(_PREFIX, buf, len(_MAGIC), path)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if tag not in _HEADERS:
+    if tag != TYPE_SPECTRAL:
         raise ValueError(f"{path}: unknown model-type tag {tag}")
-    fields, offset = _unpack(_HEADERS[tag], buf, offset, path)
-    if tag == TYPE_SPECTRAL:
-        K, C, F, n_users, n_items, decay, eps = fields
-        config = _header_config(path, K=K, C=C, F=F)
-    else:
-        C, n_users, n_items, decay, eps = fields
-        config = _header_config(path, K=0, C=C)
-    shapes = config.shapes(n_users, n_items)
-    expected = offset + 8 * sum(rows * cols for rows, cols in shapes)
+    (K, C, F, n_users, n_items, decay, eps), offset = _unpack(_HEADER, buf, offset, path)
+    config = _header_config(path, K=K, C=C, F=F)
+    # The sizes of ModelConfig.shapes, summed in closed form.
+    n_floats = C * (n_users + n_items) + (C * F + (K - 1) * F * F if K else 0)
+    expected = offset + 8 * n_floats
     if len(buf) < expected:
         raise ValueError(f"{path}: truncated file ({len(buf)} of {expected} bytes)")
     if len(buf) > expected:
         raise ValueError(f"{path}: {len(buf) - expected} trailing bytes after the last array")
     arrays = []
-    for rows, cols in shapes:
+    for rows, cols in config.shapes(n_users, n_items):
         arrays.append(np.frombuffer(buf, "<f8", rows * cols, offset).reshape(rows, cols).copy())
         offset += 8 * rows * cols
     return SpectralCheckpoint(ModelParams.from_arrays(arrays), config, decay, eps)

@@ -282,7 +282,8 @@ def _code_ids(b: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     when ids are (the scanner admits no NUL byte). A field of up to 8 bytes
     is one little-endian uint64, read straight from the bytes; a longer one
     is fixed-width bytes of the next power of two, so that no key is more
-    than twice its field. Only the distinct ids are decoded.
+    than twice its field. :func:`_code_keys` codes the keys of each width
+    class; only the distinct ids are decoded.
     """
     pad = 8
     while pad < lens.max():
@@ -303,43 +304,26 @@ def _code_ids(b: np.ndarray, starts: np.ndarray, lens: np.ndarray):
             field[np.arange(width) >= lens[rows, None]] = 0
             groups.append((rows, field.view(f"S{width}").ravel()))
         lo, width = width, 2 * width
-    ids, codes = _first_appearance(groups, len(starts))
+    ids, codes = _code_keys(groups, len(starts))
     return [i.decode("utf-8") for i in ids], codes
 
 
-def _first_appearance(groups, n: int) -> tuple[list, np.ndarray]:
+def _code_keys(groups, n: int) -> tuple[list, np.ndarray]:
     """Code ``n`` values in order of first appearance: (the distinct values,
     each value's int64 code).
 
     ``groups`` holds ``(rows, keys)`` pairs that together cover rows 0..n-1
     once, where no key of one group equals a key of another. uint64 keys
-    stand for their 8 little-endian bytes. One unstable sort per group: the
-    first occurrence of a key is the least row of its run in sorted order.
+    stand for their 8 little-endian bytes. Each group's distinct keys get
+    codes of their own, then :func:`_by_first_appearance` renumbers them all.
     """
-    values, firsts, rows_of, inverses = [], [], [], []
+    values, codes = [], np.empty(n, dtype=np.int64)
     for rows, keys in groups:
-        if not len(keys):
-            continue
-        perm = np.argsort(keys)
-        ordered = keys[perm]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = ordered[1:] != ordered[:-1]
-        runs = np.flatnonzero(new)
-        inverse = np.empty(len(keys), dtype=np.int64)
-        inverse[perm] = np.cumsum(new) - 1
-        distinct = ordered[runs]
-        inverses.append(inverse + len(values))
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        codes[rows] = inverse + len(values)
         values += (distinct.view("S8") if distinct.dtype.kind == "u" else distinct).tolist()
-        firsts.append(rows[np.minimum.reduceat(perm, runs)])
-        rows_of.append(rows)
-    if not values:
-        return [], np.empty(0, dtype=np.int64)
-    order = np.argsort(np.concatenate(firsts))
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    codes = np.empty(n, dtype=np.int64)
-    codes[np.concatenate(rows_of)] = rank[np.concatenate(inverses)]
-    return [values[k] for k in order.tolist()], codes
+    order, table = _by_first_appearance(codes, len(values))
+    return [values[k] for k in order.tolist()], table[codes]
 
 
 def _parse_lines(raw, fmt: str) -> RawColumns:
@@ -375,8 +359,8 @@ def _parse_lines(raw, fmt: str) -> RawColumns:
         users.append(parts[0])
         items.append(parts[1])
     rows = np.arange(len(users))
-    user_ids, user_codes = _first_appearance([(rows, np.array(users, dtype=object))], len(rows))
-    item_ids, item_codes = _first_appearance([(rows, np.array(items, dtype=object))], len(rows))
+    user_ids, user_codes = _code_keys([(rows, np.array(users, dtype=object))], len(rows))
+    item_ids, item_codes = _code_keys([(rows, np.array(items, dtype=object))], len(rows))
     return RawColumns(user_ids, item_ids, user_codes, item_codes)
 
 
@@ -386,13 +370,18 @@ def _codes_in(values: list[str], ids: list[str]) -> np.ndarray:
     return np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
 
 
-def _in_first_appearance_order(codes: np.ndarray) -> np.ndarray:
-    """Distinct codes (non-negative ints) ordered by where each first occurs."""
+def _by_first_appearance(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber codes 0..n_codes-1 in order of first occurrence in ``codes``:
+    (the codes that occur, in that order; the table from each code to its
+    new number, -1 for a code that does not occur)."""
     n = len(codes)
-    first = np.full(int(codes.max()) + 1 if n else 0, n)
+    first = np.full(n_codes, n)
     np.minimum.at(first, codes, np.arange(n))
-    distinct = np.flatnonzero(first < n)
-    return distinct[np.argsort(first[distinct])]
+    occur = np.flatnonzero(first < n)
+    order = occur[np.argsort(first[occur])]
+    table = np.full(n_codes, -1, dtype=np.int64)
+    table[order] = np.arange(len(order))
+    return order, table
 
 
 def check_min_interactions(min_user_interactions: int) -> None:
@@ -444,12 +433,8 @@ def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> Interact
     # Dense indices in order of first appearance among the surviving records.
     order = np.argsort(first[live])
     u, i = u[live], i[live]
-    users = _in_first_appearance_order(u[order])
-    items = _in_first_appearance_order(i[order])
-    user_code = np.empty(n_u, dtype=np.int64)
-    user_code[users] = np.arange(len(users))
-    item_code = np.empty(n_i, dtype=np.int64)
-    item_code[items] = np.arange(len(items))
+    users, user_code = _by_first_appearance(u[order], n_u)
+    items, item_code = _by_first_appearance(i[order], n_i)
     return InteractionSet.from_pairs(
         len(users), len(items), user_code[u], item_code[i],
         user_ids=[user_ext[k] for k in users.tolist()],
@@ -563,9 +548,7 @@ def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -
     entries = np.flatnonzero(np.repeat(kept_user, sizes))
     new_u = (np.cumsum(kept_user) - 1)[data.rows()[entries]]
     old_i = data.indices[entries]
-    items = _in_first_appearance_order(old_i)
-    item_code = np.empty(data.n_items, dtype=np.int64)
-    item_code[items] = np.arange(len(items))
+    items, item_code = _by_first_appearance(old_i, data.n_items)
     new_i = item_code[old_i]
 
     # Draw each user's training items over its row in the old item order.
@@ -623,12 +606,10 @@ def _index_cache(split: SplitPair, tsv: dict[str, bytes]) -> bytes:
     sorted again by one sort of (row, item) keys.
     """
     train = split.train
-    items = _in_first_appearance_order(train.indices)
+    items, code = _by_first_appearance(train.indices, train.n_items)
     if len(items) != train.n_items or not np.diff(train.indptr).all():
         raise SplitFormatError("the train half leaves a user or an item without an "
                                "interaction, so train.tsv cannot list it")
-    code = np.empty(train.n_items, dtype=np.int64)
-    code[items] = np.arange(train.n_items)
     arrays = {
         "user_ids": _id_blob("user", train.user_ids),
         "item_ids": _id_blob("item", [train.item_ids[i] for i in items.tolist()]),

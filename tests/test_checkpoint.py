@@ -26,21 +26,15 @@ def test_spectral_round_trip_reads_k_filters(tmp_path, K):
     assert (back.rms_decay, back.rms_epsilon) == (0.8, 1e-7)
 
 
-def test_legacy_bpr_mf_file_reads_as_zero_layer_model(tmp_path):
-    """A BPR-MF file of the older layout (tag 1) loads as the K = 0 model."""
-    rng = np.random.default_rng(0)
-    P, Q = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+def test_legacy_bpr_mf_tag_rejected(tmp_path):
+    """The older BPR-MF layout (tag 1) is no longer read."""
     path = tmp_path / "bpr.spck"
     # magic, version, tag 1, then d, n_users, n_items, decay, epsilon, P, Q
     header = struct.pack("<IB", 1, 1) + struct.pack("<IQQdd", 3, 4, 5, 0.8, 1e-7)
-    path.write_bytes(b"SPCK" + header + P.astype("<f8").tobytes() + Q.astype("<f8").tobytes())
-    back = load_checkpoint(path)
-    assert isinstance(back, SpectralCheckpoint)
-    assert back.config == ModelConfig(K=0, C=3)
-    assert back.params.thetas == []
-    assert np.array_equal(back.params.X_u0, P)
-    assert np.array_equal(back.params.X_i0, Q)
-    assert (back.rms_decay, back.rms_epsilon) == (0.8, 1e-7)
+    path.write_bytes(b"SPCK" + header + np.zeros(27, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="unknown model-type tag 1") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_cli_trained_bpr_mf_writes_the_spectral_tag(tmp_path, capsys):
@@ -72,6 +66,26 @@ def test_truncated_file_names_it(saved, size):
     with pytest.raises(ValueError, match="truncated") as info:
         load_checkpoint(saved)
     assert str(saved) in str(info.value)
+
+
+def test_huge_layer_count_fails_before_laying_out_shapes(tmp_path, monkeypatch):
+    """A header-only file with K = 2**32 - 1 is truncated; its size is known
+    without building the K + 2 shapes the header implies."""
+    shapes = ModelConfig.shapes
+
+    def bounded_shapes(self, n_users, n_items):
+        if self.K > 10**6:
+            raise AssertionError(f"shapes built for K={self.K}")
+        return shapes(self, n_users, n_items)
+
+    monkeypatch.setattr(ModelConfig, "shapes", bounded_shapes)
+    path = tmp_path / "model.spck"
+    path.write_bytes(b"SPCK" + struct.pack("<IB", 1, 0)
+                     + struct.pack("<IIIQQdd", 2**32 - 1, 2, 2, 4, 5, 0.9, 1e-8))
+    assert len(path.read_bytes()) == 53
+    with pytest.raises(ValueError, match="truncated") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_trailing_bytes_rejected(saved):

@@ -100,16 +100,26 @@ class TestSplit:
             digests.append(tree_digest(out_dir))
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("protocol, train_sha, test_sha", [
+    @pytest.mark.parametrize("protocol, train_sha, test_sha, index_sha", [
         (["--protocol", "standard", "--fraction", "0.8"],
          "5f4b0d81478e2bff33b776390fa9383fee107770e67eb87d1411f47a0b6290d0",
-         "cfee8be0ba27c5ca8d2f0072e98506d19da069c2d98565f9c7addf88a60c6fad"),
+         "cfee8be0ba27c5ca8d2f0072e98506d19da069c2d98565f9c7addf88a60c6fad",
+         "5fe264b31af2e770d3df54c708e97a183b329f0eb4ca6331b45c1a5ab07c085f"),
         (["--protocol", "cold-start", "--p", "2"],
          "3498ab89bd2a49deeaa1a51fc1be2230b2dd314acfb2683fb7d093805b13cf0a",
-         "70a44bd625b9844ade30465caa47e6b87f572b289bffc320a0a32884eb7cb6a0"),
+         "70a44bd625b9844ade30465caa47e6b87f572b289bffc320a0a32884eb7cb6a0",
+         "fa681245253c52525cdc4b6dacf125587f34c36c03ae583d851eeb470ea23e36"),
+        # The README sweep's filter: at 6 the surviving items are numbered in
+        # another order than the parse gave them.
+        (["--protocol", "cold-start", "--p", "2", "--min-interactions", "6"],
+         "fb10d6fbbb9c3f7c324d9776ea7fe8a8e82c1d67d756607a363a189af5abf4d7",
+         "b1cc14176afa9f6342cdf59d8da448c001669579cd73136ee8809df791e395e6",
+         "c0de6b1475ceeb2cdebd4491d50190f29a6574e7ac7718c1d233501bb9ea974c"),
     ])
-    def test_split_bytes_pinned(self, tmp_path, capsys, protocol, train_sha, test_sha):
-        """The split files of a fixed input keep the bytes they have always had."""
+    def test_split_bytes_pinned(self, tmp_path, capsys, protocol, train_sha, test_sha,
+                                index_sha):
+        """The split files and the index cache of a fixed input keep the bytes
+        they have always had."""
         raw = write_movielens(tmp_path / "ratings.dat")
         out = tmp_path / "split"
         code, _, err = run(capsys, ["split", "--input", str(raw), "--format", "movielens-dat",
@@ -117,6 +127,7 @@ class TestSplit:
         assert code == 0, err
         assert hashlib.sha256((out / "train.tsv").read_bytes()).hexdigest() == train_sha
         assert hashlib.sha256((out / "test.tsv").read_bytes()).hexdigest() == test_sha
+        assert hashlib.sha256((out / data.INDEX_CACHE).read_bytes()).hexdigest() == index_sha
 
     @pytest.mark.parametrize("model_argv, report_sha, recommend_sha", [
         (["-K", "2", "-C", "4", "-F", "4"],

@@ -191,7 +191,7 @@ def test_first_appearance_order_matches_dict_order():
     for size in [0, 1, 5, 50, 400]:
         codes = rng.integers(int(rng.integers(1, 30)), size=size)
         expected = list(dict.fromkeys(codes.tolist()))
-        assert data._in_first_appearance_order(codes).tolist() == expected
+        assert data._by_first_appearance(codes, 30)[0].tolist() == expected
 
 
 class TestToImplicit:
@@ -222,7 +222,15 @@ class TestToImplicit:
         raw = b"a\tx\na\tv\nb\tx\nb\ty\nc\tz\n"
         ds = data.to_implicit(data.parse_interactions(raw, "tsv"), min_user_interactions=2)
         assert ds.user_ids == ["a", "b"]
-        assert set(ds.item_ids) == {"x", "v", "y"}
+        assert ds.item_ids == ["x", "v", "y"]
+
+    def test_order_counts_only_surviving_records(self):
+        # y first appears on a line of b, who is dropped; among the records
+        # that survive, x comes before y.
+        raws = data.parse_interactions(b"b\ty\na\tx\na\ty\n", "tsv")
+        ds = data.to_implicit(raws, min_user_interactions=2)
+        assert ds.user_ids == ["a"]
+        assert ds.item_ids == ["x", "y"]
 
     def test_everything_filtered_raises(self):
         raws = data.parse_interactions(b"a\tx\n", "tsv")
