@@ -720,10 +720,13 @@ def _check_meta(meta: dict[str, str], src: Path, checks: dict[str, int]) -> None
 
 def _read_cache(src: Path, raw: dict[str, bytes]) -> list[InteractionSet] | None:
     """The halves named in ``raw`` from the index cache, or None unless it
-    reads cleanly, its arrays fit together and each half's bytes hash to the
-    digest recorded for it. ``raw`` holds each half's tsv file, read once: on
-    a miss the text reader parses the same bytes. The file is opened here,
-    not by ``np.load``, so one that is no zip leaves no handle open."""
+    reads cleanly, each half's bytes hash to the digest recorded for it and
+    its arrays hold what an ``InteractionSet`` promises: ``indptr`` runs from
+    0 to the entry count without falling, and every row's items lie in
+    [0, n_items) and strictly ascend. ``raw`` holds each half's tsv file,
+    read once: on a miss the text reader parses the same bytes. The file is
+    opened here, not by ``np.load``, so one that is no zip leaves no handle
+    open."""
     try:
         with open(src / INDEX_CACHE, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             for half, payload in raw.items():
@@ -737,10 +740,23 @@ def _read_cache(src: Path, raw: dict[str, bytes]) -> list[InteractionSet] | None
     for indptr, indices in arrays:
         if (indptr.dtype != np.int64 or indices.dtype != np.int64
                 or indptr.shape != (len(user_ids) + 1,) or indices.ndim != 1
-                or indptr[0] != 0 or indptr[-1] != len(indices)):
+                or indptr[0] != 0 or indptr[-1] != len(indices)
+                or (np.diff(indptr) < 0).any()
+                or (len(indices) and (indices.min() < 0 or indices.max() >= len(item_ids)))):
+            return None
+        if not _rows_ascend(indptr, indices):
             return None
     return [InteractionSet(len(user_ids), len(item_ids), indptr, indices, user_ids, item_ids)
             for indptr, indices in arrays]
+
+
+def _rows_ascend(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether the items strictly ascend within every row of a CSR pattern
+    whose ``indptr`` never falls: they may fall only where a row starts."""
+    falls = np.diff(indices) <= 0
+    starts = indptr[1:-1]
+    falls[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+    return not falls.any()
 
 
 def _read_test(src: Path, train: InteractionSet, raw: bytes) -> InteractionSet:

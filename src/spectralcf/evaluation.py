@@ -71,7 +71,8 @@ def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: boo
     Users with empty test sets are skipped and counted separately.
     Evaluable users are scored ``BLOCK_ROWS`` at a time, with one
     ``V_u[block] @ V_i^T`` product, and ranked by :func:`model.top_m_rows`,
-    so memory grows with BLOCK_ROWS x n_items, not with the number of users;
+    which sorts only each row's top candidates, so memory grows with
+    BLOCK_ROWS x n_items, not with the number of users;
     Recall@M and AP@M come from cumulative sums over rank positions, and
     per-user values are summed in ascending user order, as a loop over users
     would.

@@ -76,7 +76,13 @@ class ConvKernel:
 
 
 def build_graph(train: InteractionSet) -> BipartiteGraph:
-    """The normalized adjacency of the training interactions."""
+    """The normalized adjacency of the training interactions.
+
+    The CSR arrays of [[0, B], [B^T, 0]] are the rows of B, their columns
+    shifted past the users, followed by the rows of B^T: three
+    concatenations, with no sort, since both keep each row's columns
+    ascending.
+    """
     if not train.n_interactions():
         raise ValueError("training set is empty")
     R = train.to_csr()
@@ -86,7 +92,13 @@ def build_graph(train: InteractionSet) -> BipartiteGraph:
         raise ValueError(f"isolated vertex at index {bad}; degrees must be >= 1")
     d_inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
     R.data = d_inv_sqrt[train.rows()] * d_inv_sqrt[train.n_users + R.indices]
-    normalized = sp.bmat([[None, R], [R.T, None]], format="csr")
+    T = R.T.tocsr()
+    n = train.n_users + train.n_items
+    normalized = sp.csr_matrix(
+        (np.concatenate([R.data, T.data]),
+         np.concatenate([R.indices + train.n_users, T.indices]),
+         np.concatenate([R.indptr, R.indptr[-1] + T.indptr[1:]])),
+        shape=(n, n))
     return BipartiteGraph(train.n_users, train.n_items, normalized)
 
 

@@ -174,6 +174,10 @@ def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
     appear. Returns a rows x min(M, items) array; a row with fewer candidates
     than that is padded with -1 at its end. Raises NumericError on any
     non-finite score, masked or not.
+
+    A partition finds each row's candidates, the unmasked items scoring at
+    least its min(M, items)-th value; only those are sorted, each row on its
+    own, by one stable argsort of the block.
     """
     check_list_length(M)
     scores = np.asarray(scores, dtype=np.float64)
@@ -186,17 +190,22 @@ def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
     # Every candidate scoring at least the width-th largest value; ties at
     # that value can make a row hold more than width of them.
     kth = np.partition(masked, n_items - width, axis=1)[:, n_items - width]
-    rows, cols = np.divmod(np.flatnonzero((masked >= kth[:, None]) & ~exclude), n_items)
-    # Row-major order lists each row's columns ascending and lexsort is
+    candidate = (masked >= kth[:, None]) & ~exclude
+    flat = np.flatnonzero(candidate)
+    rows, cols = np.divmod(flat, n_items)
+    counts = np.count_nonzero(candidate, axis=1)
+    # Each row's candidates, left-aligned in a rows x span array: keys -score
+    # padded with +inf, columns padded with -1, so padding sorts last.
+    span = max(width, int(counts.max(initial=0)))
+    slot = rows * span + np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]
+    key = np.full(n_rows * span, np.inf)
+    key[slot] = -masked.ravel()[flat]
+    col = np.full(n_rows * span, -1, dtype=np.int64)
+    col[slot] = cols
+    # Row-major order lists each row's columns ascending and the sort is
     # stable, so ties keep ascending item index.
-    order = np.lexsort((-masked[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n_rows)
-    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    keep = rank < width
-    ranked = np.full((n_rows, width), -1, dtype=np.int64)
-    ranked[rows[keep], rank[keep]] = cols[keep]
-    return ranked
+    order = np.argsort(key.reshape(n_rows, span), axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(col.reshape(n_rows, span), order, axis=1)
 
 
 def top_m(scores: np.ndarray, exclude, M: int) -> np.ndarray:

@@ -628,13 +628,61 @@ def truncate_cache(path):
     cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
 
 
+def tamper_cache(change):
+    """An edit that applies ``change`` to the cached train half's
+    ``(indptr, indices)`` in place and writes the cache back, its digests
+    intact."""
+    def edit(path):
+        cache = path / data.INDEX_CACHE
+        with np.load(cache) as z:
+            arrays = dict(z)
+        change(arrays["train_indptr"], arrays["train_indices"])
+        np.savez(cache, **arrays)
+    return edit
+
+
+def first_long_row(indptr):
+    """Where the first row with at least two items starts."""
+    return indptr[np.flatnonzero(np.diff(indptr) >= 2)[0]]
+
+
+def swap_row_items(indptr, indices):
+    lo = first_long_row(indptr)
+    indices[[lo, lo + 1]] = indices[[lo + 1, lo]]
+
+
+def repeat_row_item(indptr, indices):
+    lo = first_long_row(indptr)
+    indices[lo + 1] = indices[lo]
+
+
+def item_past_the_end(indptr, indices):
+    """Every item has a train pair, so max + 1 is n_items; the last row
+    still ascends."""
+    indices[-1] = indices.max() + 1
+
+
+def negative_item(indptr, indices):
+    indices[0] = -1
+
+
+def falling_indptr(indptr, indices):
+    """Two row pointers swapped: one row has a negative length."""
+    k = np.flatnonzero(np.diff(indptr) > 0)[1]
+    indptr[[k, k + 1]] = indptr[[k + 1, k]]
+
+
 class TestIndexCache:
     @pytest.mark.parametrize("protocol", ["standard", "cold-start"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("edit, cached", [
         (None, True), (drop_cache, False), (reverse_train, False), (drop_test_line, False),
-        (truncate_cache, False),
-    ], ids=["cache", "no-cache", "train-edited", "test-edited", "truncated-cache"])
+        (truncate_cache, False), (tamper_cache(swap_row_items), False),
+        (tamper_cache(repeat_row_item), False), (tamper_cache(item_past_the_end), False),
+        (tamper_cache(negative_item), False), (tamper_cache(falling_indptr), False),
+    ], ids=["cache", "no-cache", "train-edited", "test-edited", "truncated-cache",
+            "row-unsorted", "row-repeated", "item-past-end", "item-negative",
+            "indptr-falling"])
     def test_loads_what_the_text_reader_does(self, tmp_path, protocol, seed, edit, cached):
         split_dir = cache_split(tmp_path, protocol, seed)
         if edit:
@@ -644,6 +692,20 @@ class TestIndexCache:
         shutil.copytree(split_dir, text_dir)
         (text_dir / data.INDEX_CACHE).unlink(missing_ok=True)
         assert loaded(split_dir) == loaded(text_dir)
+
+    def test_rows_ascend_matches_a_row_by_row_check(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            lengths = rng.integers(0, 4, size=int(rng.integers(0, 7)))
+            lengths[rng.random(len(lengths)) < 0.3] = 0  # empty rows, first and last too
+            indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+            indices = rng.integers(0, 5, size=indptr[-1]).astype(np.int64)
+            if rng.random() < 0.5:
+                for lo, hi in zip(indptr[:-1], indptr[1:]):
+                    indices[lo:hi] = np.sort(indices[lo:hi])
+            expected = all((np.diff(indices[lo:hi]) > 0).all()
+                           for lo, hi in zip(indptr[:-1], indptr[1:]))
+            assert data._rows_ascend(indptr, indices) == expected
 
     def test_train_cache_serves_load_train_after_a_test_edit(self, tmp_path):
         split_dir = cache_split(tmp_path, "standard", 3)

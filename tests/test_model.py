@@ -241,6 +241,79 @@ class TestScoring:
                 assert model.top_m(row, np.flatnonzero(mask), M).tolist() == expected
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block", [
+        "boundary-ties", "all-equal", "signed-zeros", "excluded-and-short", "no-rows",
+        "m-past-items", "float-512x533",
+    ])
+    def test_top_m_rows_matches_the_lexsort_ranker(self, block, seed):
+        scores, exclude, M = ranker_block(block, np.random.default_rng(seed))
+        got = model.top_m_rows(scores, exclude, M)
+        expected = lexsort_top_m_rows(scores, exclude, M)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def lexsort_top_m_rows(scores, exclude, M):
+    """The block ranker as it was before its per-row sort, kept as the
+    oracle: one stable lexsort of every candidate of the block by (row,
+    -score), then a scatter into the -1-padded result."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n_rows, n_items = scores.shape
+    width = min(M, n_items)
+    masked = np.where(exclude, -np.inf, scores)
+    kth = np.partition(masked, n_items - width, axis=1)[:, n_items - width]
+    rows, cols = np.divmod(np.flatnonzero((masked >= kth[:, None]) & ~exclude), n_items)
+    order = np.lexsort((-masked[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n_rows)
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    keep = rank < width
+    ranked = np.full((n_rows, width), -1, dtype=np.int64)
+    ranked[rows[keep], rank[keep]] = cols[keep]
+    return ranked
+
+
+def candidate_counts(scores, exclude, M):
+    """Per row, how many items score at least the row's width-th value."""
+    width = min(M, scores.shape[1])
+    masked = np.where(exclude, -np.inf, scores)
+    kth = np.sort(masked, axis=1)[:, scores.shape[1] - width]
+    return ((masked >= kth[:, None]) & ~exclude).sum(axis=1), width
+
+
+def ranker_block(name, rng):
+    """(scores, exclude, M) for one kind of block the ranker must handle."""
+    if name == "boundary-ties":
+        # Odd rows draw from four values, so ties straddle the width boundary
+        # there and a row holds more candidates than the width; even rows
+        # have distinct scores.
+        scores = rng.standard_normal((64, 30))
+        scores[1::2] = rng.integers(0, 4, size=(32, 30))
+        exclude, M = rng.random((64, 30)) < 0.2, 10
+        counts, width = candidate_counts(scores, exclude, M)
+        assert (counts[1::2] > width).any() and (counts[::2] == width).all()
+    elif name == "all-equal":
+        scores, exclude, M = np.full((16, 20), 0.25), rng.random((16, 20)) < 0.3, 7
+    elif name == "signed-zeros":
+        scores = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(32, 12))
+        exclude, M = rng.random((32, 12)) < 0.2, 5
+    elif name == "excluded-and-short":
+        scores = rng.integers(0, 3, size=(24, 15)).astype(float)
+        exclude = np.zeros((24, 15), dtype=bool)
+        exclude[::3] = True  # every item excluded
+        exclude[1::3, 3:] = True  # three candidates against a width of 12
+        M = 12
+    elif name == "no-rows":
+        scores, exclude, M = np.zeros((0, 9)), np.zeros((0, 9), dtype=bool), 4
+    elif name == "m-past-items":
+        scores = rng.integers(0, 2, size=(8, 6)).astype(float)
+        exclude, M = rng.random((8, 6)) < 0.3, 20
+    else:
+        scores = rng.standard_normal((512, 64)) @ rng.standard_normal((64, 533))
+        exclude, M = rng.random((512, 533)) < 0.1, 100
+    return scores, exclude, M
+
 class TestSigmoid:
     def test_extreme_inputs_stay_finite(self):
         out = model.sigmoid(np.array([-1e9, -710.0, 0.0, 710.0, 1e9]))

@@ -1,4 +1,4 @@
-"""Smoke test of the pipeline benchmark: one round of its densest workload.
+"""Smoke test of the pipeline benchmark: one round of each workload.
 
 It pins what ``pipebench/`` relies on in the program: the command lines it
 passes, the checkpoint layout its reader expects and the report format its
@@ -10,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_spectral_dense_round_is_correct():
+@pytest.mark.parametrize("workload", ["ml1m-standard", "coldstart-p2", "spectral-dense"])
+def test_round_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "pipebench/run.py", "--workload", "spectral-dense", "--seed", "0",
+        [sys.executable, "pipebench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
