@@ -116,11 +116,9 @@ def _out_dir(args) -> Path:
 
 
 def _out_path(args, name: str) -> Path:
-    """Resolve a user-supplied output path against the output directory."""
-    p = Path(name)
-    if p.is_absolute():
-        return p
-    return _out_dir(args) / p
+    """A user-supplied output path under the output directory; an absolute
+    one stands as given (``Path`` joining keeps it)."""
+    return _out_dir(args) / name
 
 
 def _print_err(message: str) -> None:
@@ -138,7 +136,7 @@ def cmd_split(args) -> int:
     else:
         data.check_items_per_user(args.p)
     data.check_min_interactions(args.min_interactions)
-    columns = data.read_interactions(args.input, args.format)
+    columns = data.parse_interactions(Path(args.input).read_bytes(), args.format, args.input)
     dataset = data.to_implicit(columns, min_user_interactions=args.min_interactions)
 
     if args.protocol == "standard":
@@ -292,7 +290,8 @@ def cmd_spectral_embed(args) -> int:
     if args.split_dir is not None:
         dataset = data.load_train(args.split_dir)
     else:
-        dataset = data.to_implicit(data.read_interactions(args.input, args.format))
+        raw = Path(args.input).read_bytes()
+        dataset = data.to_implicit(data.parse_interactions(raw, args.format, args.input))
 
     g = graph.build_graph(dataset)
     coords = graph.spectral_coordinates(g, args.k)

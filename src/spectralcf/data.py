@@ -160,13 +160,13 @@ class SplitPair:
     n_rescued: int = 0
 
 
-def parse_interactions(source, fmt: str) -> RawColumns:
-    """Parse interaction lines from bytes, text or a file object.
+def parse_interactions(raw: bytes, fmt: str, path=None) -> RawColumns:
+    """Parse interaction lines from ``raw``, the bytes of a file.
 
     ``fmt`` is ``"movielens_dat"`` (``user::item::rating::timestamp``) or
     ``"tsv"`` (``user<TAB>item[<TAB>weight[<TAB>timestamp]]``). Blank lines are
     skipped; any malformed line raises :class:`ParseError` with its 1-based
-    line number, blank lines counted.
+    line number, blank lines counted, and ``path``, the file, when given.
 
     Two readers share this contract. The byte scanner (:func:`_scan`) takes
     every file whose records all have one field count and no irregular bytes;
@@ -175,20 +175,8 @@ def parse_interactions(source, fmt: str) -> RawColumns:
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
-    raw = source if isinstance(source, (bytes, bytearray, str)) else source.read()
-    buf = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else raw
-    columns = _scan(buf, fmt)
-    return _parse_lines(raw, fmt) if columns is None else columns
-
-
-def read_interactions(path, fmt: str, raw: bytes | None = None) -> RawColumns:
-    """:func:`parse_interactions` of the file at ``path``, or of ``raw``, its
-    bytes when already read; a ParseError names the file as well as the line."""
-    raw = Path(path).read_bytes() if raw is None else raw
-    try:
-        return parse_interactions(raw, fmt)
-    except ParseError as exc:
-        raise ParseError(exc.line_no, exc.reason, path) from None
+    columns = _scan(raw, fmt)
+    return _parse_lines(raw, fmt, path) if columns is None else columns
 
 
 def _scan(buf, fmt: str) -> RawColumns | None:
@@ -326,36 +314,38 @@ def _code_keys(groups, n: int) -> tuple[list, np.ndarray]:
     return [values[k] for k in order.tolist()], table[codes]
 
 
-def _parse_lines(raw, fmt: str) -> RawColumns:
+def _decode(raw: bytes, path=None) -> str:
+    """``raw`` decoded as UTF-8; an invalid byte raises :class:`ParseError`
+    naming its line (and ``path`` when given)."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"invalid UTF-8: {exc.reason}", path) from None
+
+
+def _parse_lines(raw: bytes, fmt: str, path=None) -> RawColumns:
     """Line-by-line reader: the reference for what the byte scanner takes,
     and the source of every :class:`ParseError`."""
-    if isinstance(raw, str):
-        text = raw
-    else:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = raw.count(b"\n", 0, exc.start) + 1
-            raise ParseError(line_no, f"invalid UTF-8: {exc.reason}") from None
     sep, lo, hi, expected = _FORMATS[fmt]
     users: list[str] = []
     items: list[str] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(_decode(raw, path).split("\n"), start=1):
         line = line.rstrip("\r")
         if not line:
             continue
         parts = line.split(sep)
         if not lo <= len(parts) <= hi:
-            raise ParseError(line_no, f"expected {expected} fields, got {len(parts)}")
+            raise ParseError(line_no, f"expected {expected} fields, got {len(parts)}", path)
         if not parts[0] or not parts[1]:
-            raise ParseError(line_no, "empty user or item id")
+            raise ParseError(line_no, "empty user or item id", path)
         try:
             if len(parts) >= 3:
                 float(parts[2])
             if len(parts) == 4:
                 int(parts[3])
         except ValueError as exc:
-            raise ParseError(line_no, f"bad numeric field: {exc}") from None
+            raise ParseError(line_no, f"bad numeric field: {exc}", path) from None
         users.append(parts[0])
         items.append(parts[1])
     rows = np.arange(len(users))
@@ -403,9 +393,10 @@ def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> Interact
     """Collapse parsed records to a binary InteractionSet with dense indices.
 
     Ratings are discarded (any observation counts as 1), duplicates are
-    collapsed, users with fewer than ``min_user_interactions`` interactions are
-    dropped, and filtering iterates until no isolated user or item remains.
-    Surviving ids are re-indexed densely in order of first appearance.
+    collapsed, and users with fewer than ``min_user_interactions`` distinct
+    items are dropped, with every item only they held. One pass suffices:
+    dropping a user changes no other user's count. Surviving ids are
+    re-indexed densely in order of first appearance.
     """
     check_min_interactions(min_user_interactions)
     user_ext, u = columns.user_ids, columns.users
@@ -413,24 +404,12 @@ def to_implicit(columns: RawColumns, min_user_interactions: int = 1) -> Interact
     n_u, n_i = len(user_ext), len(item_ext)
     keys, first = np.unique(u * n_i + i, return_index=True)
     u, i = keys // n_i, keys % n_i
-
-    # Remove light users, then items left with no interactions, until stable.
-    keep_u = np.ones(n_u, dtype=bool)
-    keep_i = np.ones(n_i, dtype=bool)
-    while True:
-        live = keep_u[u] & keep_i[i]
-        new_u = np.bincount(u[live], minlength=n_u) >= min_user_interactions
-        # Items only survive through interactions with surviving users.
-        new_i = np.bincount(i[live], minlength=n_i) >= 1
-        if np.array_equal(new_u, keep_u) and np.array_equal(new_i, keep_i):
-            break
-        keep_u, keep_i = new_u, new_i
-        if not keep_u.any() or not keep_i.any():
-            raise EmptyDatasetError("no interactions left after filtering")
+    live = (np.bincount(u, minlength=n_u) >= min_user_interactions)[u]
     if not live.any():
         raise EmptyDatasetError("no interactions left after filtering")
 
-    # Dense indices in order of first appearance among the surviving records.
+    # Dense indices in order of first appearance among the surviving records;
+    # an item no surviving user holds gets none.
     order = np.argsort(first[live])
     u, i = u[live], i[live]
     users, user_code = _by_first_appearance(u[order], n_u)
@@ -505,6 +484,17 @@ def _split_pair(data: InteractionSet, in_train: np.ndarray, **fields) -> SplitPa
                      n_swapped=n_swapped, n_rescued=n_promoted, **fields)
 
 
+def _draw_train(rng, indptr: np.ndarray, n_train: np.ndarray) -> np.ndarray:
+    """Mark ``n_train[r]`` random entries of each row ``r`` of the CSR
+    pointers ``indptr`` as train: one ``rng.permutation`` per row, rows in
+    order."""
+    in_train = np.zeros(indptr[-1], dtype=bool)
+    bounds = indptr.tolist()
+    for lo, hi, n in zip(bounds, bounds[1:], n_train.tolist()):
+        in_train[lo + rng.permutation(hi - lo)[:n]] = True
+    return in_train
+
+
 def split_standard(data: InteractionSet, train_fraction: float, rng_seed: int) -> SplitPair:
     """Per-user random split: floor(fraction * |I_u|) items to train, min 1.
 
@@ -514,13 +504,8 @@ def split_standard(data: InteractionSet, train_fraction: float, rng_seed: int) -
     graph has no isolated vertices. Deterministic for a fixed seed.
     """
     check_train_fraction(train_fraction)
-    rng = np.random.default_rng(rng_seed)
-    in_train = np.zeros(data.n_interactions(), dtype=bool)
-    bounds = data.indptr.tolist()
-    for u in range(data.n_users):
-        lo, n = bounds[u], bounds[u + 1] - bounds[u]
-        n_train = max(1, int(np.floor(train_fraction * n)))
-        in_train[lo + rng.permutation(n)[:n_train]] = True
+    n_train = np.maximum(1, np.floor(train_fraction * np.diff(data.indptr))).astype(np.int64)
+    in_train = _draw_train(np.random.default_rng(rng_seed), data.indptr, n_train)
     return _split_pair(data, in_train, protocol=PROTOCOL_STANDARD,
                        protocol_param=train_fraction, seed=rng_seed)
 
@@ -546,19 +531,15 @@ def split_cold_start(data: InteractionSet, items_per_user: int, rng_seed: int) -
     # The retained users' rows, in order; items re-indexed densely in order of
     # first appearance along them.
     entries = np.flatnonzero(np.repeat(kept_user, sizes))
-    new_u = (np.cumsum(kept_user) - 1)[data.rows()[entries]]
+    new_u = np.repeat(np.arange(len(retained)), sizes[retained])
     old_i = data.indices[entries]
     items, item_code = _by_first_appearance(old_i, data.n_items)
     new_i = item_code[old_i]
 
     # Draw each user's training items over its row in the old item order.
-    rng = np.random.default_rng(rng_seed)
-    in_train = np.zeros(len(entries), dtype=bool)
     indptr = _indptr(new_u, len(retained))
-    bounds = indptr.tolist()
-    for r in range(len(retained)):
-        lo, n = bounds[r], bounds[r + 1] - bounds[r]
-        in_train[lo + rng.permutation(n)[:items_per_user]] = True
+    in_train = _draw_train(np.random.default_rng(rng_seed), indptr,
+                           np.full(len(retained), items_per_user))
 
     order = np.lexsort((new_i, new_u))
     reindexed = InteractionSet(
@@ -679,28 +660,26 @@ def read_key_values(path) -> dict[str, str]:
     line raises ParseError naming the file and the line."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ParseError(line_no, f"expected key=value, got {line!r}", path)
-            key = key.strip()
-            if key in values:
-                raise ParseError(line_no, f"key {key!r} given again "
-                                          f"(first on line {first_line[key]})", path)
-            values[key] = value.strip()
-            first_line[key] = line_no
+    text = _decode(Path(path).read_bytes(), path)
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ParseError(line_no, f"expected key=value, got {line!r}", path)
+        key = key.strip()
+        if key in values:
+            raise ParseError(line_no, f"key {key!r} given again "
+                                      f"(first on line {first_line[key]})", path)
+        values[key] = value.strip()
+        first_line[key] = line_no
     return values
 
 
-def _meta_field(meta: dict[str, str], src: Path, key: str, cast, default=None):
-    """``cast(meta[key])``; a missing key falls back to ``default`` when given."""
+def _meta_field(meta: dict[str, str], src: Path, key: str, cast):
+    """``cast(meta[key])``; a missing or malformed value raises SplitFormatError."""
     if key not in meta:
-        if default is not None:
-            return default
         raise SplitFormatError(f"{src / 'split.meta'}: missing key {key!r}")
     try:
         return cast(meta[key])
@@ -761,7 +740,7 @@ def _rows_ascend(indptr: np.ndarray, indices: np.ndarray) -> bool:
 
 def _read_test(src: Path, train: InteractionSet, raw: bytes) -> InteractionSet:
     """test.tsv's bytes ``raw`` parsed as text, in the index space of ``train``."""
-    columns = read_interactions(src / "test.tsv", "tsv", raw)
+    columns = parse_interactions(raw, "tsv", src / "test.tsv")
     # Only the distinct test ids are looked up in the train index space.
     users = _codes_in(columns.user_ids, train.user_ids)[columns.users]
     items = _codes_in(columns.item_ids, train.item_ids)[columns.items]
@@ -790,7 +769,7 @@ def _load(src: Path, with_test: bool):
     if cached:
         train = cached[0]
     else:
-        columns = read_interactions(src / "train.tsv", "tsv", raw["train"])
+        columns = parse_interactions(raw["train"], "tsv", src / "train.tsv")
         train = InteractionSet.from_pairs(len(columns.user_ids), len(columns.item_ids),
                                           columns.users, columns.items,
                                           columns.user_ids, columns.item_ids)
@@ -833,7 +812,7 @@ def load_split(in_dir) -> SplitPair:
         protocol=_meta_field(meta, src, "protocol", str),
         protocol_param=_meta_field(meta, src, "protocol_param", float),
         seed=_meta_field(meta, src, "seed", int),
-        n_excluded_users=_meta_field(meta, src, "n_excluded_users", int, default=0),
-        n_swapped=_meta_field(meta, src, "n_swapped", int, default=0),
-        n_rescued=_meta_field(meta, src, "n_rescued", int, default=0),
+        n_excluded_users=_meta_field(meta, src, "n_excluded_users", int),
+        n_swapped=_meta_field(meta, src, "n_swapped", int),
+        n_rescued=_meta_field(meta, src, "n_rescued", int),
     )

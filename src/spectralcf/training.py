@@ -8,6 +8,7 @@ throughout so finite-difference checks stay reliable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,12 +48,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.rms_epsilon <= 0:
-            raise ValueError("learning_rate and rms_epsilon must be positive")
+        # Written so that NaN fails every range test.
+        for name in ("learning_rate", "rms_epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite (got {value})")
         if not (0.0 < self.rms_decay < 1.0):
             raise ValueError("rms_decay must lie in (0, 1)")
-        if self.reg < 0:
-            raise ValueError("reg must be >= 0")
+        if not 0 <= self.reg < math.inf:
+            raise ValueError(f"reg must be >= 0 and finite (got {self.reg})")
         if self.reg_scope not in (REG_FULL, REG_BATCH_ROWS):
             raise ValueError(f"unknown reg_scope: {self.reg_scope!r}")
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -24,6 +25,20 @@ def test_spectral_round_trip_reads_k_filters(tmp_path, K):
     for got, want in zip(back.params.thetas, params.thetas):
         assert np.array_equal(got, want)
     assert (back.rms_decay, back.rms_epsilon) == (0.8, 1e-7)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda buf: b"SPCX" + buf[4:], "not a checkpoint file"),
+    (lambda buf: buf[:4] + struct.pack("<I", 2) + buf[8:], "unsupported checkpoint version 2"),
+], ids=["magic", "version"])
+def test_foreign_prefix_rejected(tmp_path, edit, message):
+    cfg = ModelConfig(K=1, C=2, F=2)
+    path = tmp_path / "model.spck"
+    save_checkpoint(SpectralCheckpoint(init_params(cfg, n_users=3, n_items=4), cfg, 0.9, 1e-8),
+                    path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_checkpoint(path)
 
 
 def test_legacy_bpr_mf_tag_rejected(tmp_path):

@@ -68,6 +68,17 @@ def tree_digest(root):
     return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
+def pinned_split(tmp_path, capsys):
+    """The standard 0.8 split, seed 5, of ``write_movielens``'s file."""
+    raw = write_movielens(tmp_path / "ratings.dat")
+    split = tmp_path / "split"
+    code, _, err = run(capsys, ["split", "--input", str(raw), "--format", "movielens-dat",
+                                "--seed", "5", "--out-dir", str(split),
+                                "--protocol", "standard", "--fraction", "0.8"])
+    assert code == 0, err
+    return split
+
+
 @pytest.fixture
 def workspace(tmp_path, capsys):
     """Raw file plus a finished split directory shared by the command tests."""
@@ -129,23 +140,25 @@ class TestSplit:
         assert hashlib.sha256((out / "test.tsv").read_bytes()).hexdigest() == test_sha
         assert hashlib.sha256((out / data.INDEX_CACHE).read_bytes()).hexdigest() == index_sha
 
-    @pytest.mark.parametrize("model_argv, report_sha, recommend_sha", [
+    @pytest.mark.parametrize("model_argv, checkpoint_sha, loss_sha, report_sha, recommend_sha", [
         (["-K", "2", "-C", "4", "-F", "4"],
+         "c4fea6764141348381c6759015b5c9960de2e59a8c85d3cf07560466f4febcd7",
+         "e2d154d522b3be5166c79ee09f1b68d84b7ba57a242596b47d85a6440fe11917",
          "73d21596ba823ade9f204f94c07868719d23cb331530100af38622bf90ac2c18",
          "64645d6c858e1350c963f15a5ac704c150bbaa871bd5e3c3b26c3b03553552e8"),
         (["--model", "bpr-mf", "--d", "12"],
+         "30b5a4575689b9526b9d6edae12cb4e85f3866573964ec5f11565ea490016c10",
+         "f9816a28c3f4e75a88b72978d72494fac1a3222f26858dffdc322decbd11b379",
          "0db9db81b7839f4fffa691b797ca3c8748b2e9be29234e254e21e5209e90e43a",
          "f7ea4aae3bec76bc75ee8aa0e86dfe8f4b1e61550e1101827a80ed3696f32ec1"),
     ], ids=["spectralcf", "bpr-mf"])
-    def test_model_outputs_pinned(self, tmp_path, capsys, model_argv, report_sha,
-                                  recommend_sha):
-        """Report metrics and recommend output of a fixed input and seed keep
-        their bytes (the report's header lines hold paths, so they are left out)."""
-        raw = write_movielens(tmp_path / "ratings.dat")
-        split, out = tmp_path / "split", tmp_path / "run"
+    def test_model_outputs_pinned(self, tmp_path, capsys, model_argv, checkpoint_sha,
+                                  loss_sha, report_sha, recommend_sha):
+        """The checkpoint, loss log, report metrics and recommend output of a
+        fixed input and seed keep their bytes (the report's header lines hold
+        paths, so they are left out)."""
+        split, out = pinned_split(tmp_path, capsys), tmp_path / "run"
         steps = [
-            ["split", "--input", str(raw), "--format", "movielens-dat", "--seed", "5",
-             "--out-dir", str(split), "--protocol", "standard", "--fraction", "0.8"],
             ["train", "--split-dir", str(split), "--out-dir", str(out), *model_argv,
              "--epochs", "20", "--batch-size", "64", "--lr", "0.01", "--seed", "0"],
             ["evaluate", "--split-dir", str(split), "--checkpoint", str(out / "model.spck"),
@@ -156,11 +169,22 @@ class TestSplit:
         for argv in steps:
             code, stdout, err = run(capsys, argv)
             assert code == 0, err
+        assert hashlib.sha256((out / "model.spck").read_bytes()).hexdigest() == checkpoint_sha
+        assert hashlib.sha256((out / "loss.tsv").read_bytes()).hexdigest() == loss_sha
         body = [ln for ln in (out / "report.tsv").read_text().splitlines(True)
                 if not ln.startswith("#")]
         assert hashlib.sha256("".join(body).encode()).hexdigest() == report_sha
         assert len(stdout.splitlines()) == 10
         assert hashlib.sha256(stdout.encode()).hexdigest() == recommend_sha
+
+    def test_coordinates_pinned(self, tmp_path, capsys):
+        """spectral-embed -k 2 of the pinned split keeps its bytes."""
+        split, out = pinned_split(tmp_path, capsys), tmp_path / "embed"
+        code, _, err = run(capsys, ["spectral-embed", "--split-dir", str(split),
+                                    "--out-dir", str(out), "-k", "2"])
+        assert code == 0, err
+        assert (hashlib.sha256((out / "coordinates.tsv").read_bytes()).hexdigest()
+                == "f56f4af6075ac62f7b521bd88f7fcb4cbbbabb4f6c10184b58a0cb005ec405e2")
 
     def test_cold_start_protocol(self, tmp_path, capsys):
         raw = write_raw(tmp_path / "raw.tsv", np.random.default_rng(2))
@@ -434,6 +458,75 @@ class TestTrainEvaluateRecommend:
         incl = {ln.split("\t")[0] for ln in out_incl.strip().splitlines()}
         assert excl < incl
 
+    def test_exclude_seen_spellings(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "spellings"
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        argv = ["recommend", "--split-dir", str(split_dir), "--checkpoint",
+                str(out_dir / "model.spck"), "--user", "u0", "-M", "100", "--out-dir",
+                str(out_dir)]
+        outputs = {}
+        for value in (None, "true", "yes", "1", "false", "no", "0"):
+            code, outputs[value], err = run(capsys, argv + (["--exclude-seen", value]
+                                                            if value else []))
+            assert code == 0, err
+        assert outputs[None] == outputs["true"] == outputs["yes"] == outputs["1"]
+        assert outputs["false"] == outputs["no"] == outputs["0"] != outputs[None]
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--exclude-seen", "maybe"])
+        assert info.value.code == 2
+        assert "expected a boolean, got 'maybe'" in capsys.readouterr().err
+
+    def test_absolute_output_path_stands_as_given(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        ckpt = tmp_path / "elsewhere" / "m.spck"
+        ckpt.parent.mkdir()
+        code, out, err = self._train(capsys, split_dir, tmp_path / "out",
+                                     extra=("--checkpoint", str(ckpt)))
+        assert code == 0, err
+        assert ckpt.is_absolute() and f"checkpoint\t{ckpt}\n" in out
+        assert files_in(tmp_path / "out") == ["loss.tsv"]
+        load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "inf"], "learning_rate"),
+        (["--rms-epsilon", "nan"], "rms_epsilon"),
+        (["--rms-epsilon", "inf"], "rms_epsilon"),
+        (["--reg", "nan"], "reg"),
+        (["--reg", "inf"], "reg"),
+        (["--model", "bpr-mf", "--lr", "nan"], "learning_rate"),
+    ], ids=["lr-nan", "lr-inf", "rms-epsilon-nan", "rms-epsilon-inf", "reg-nan", "reg-inf",
+            "bpr-mf-lr-nan"])
+    def test_non_finite_setting_rejected(self, workspace, capsys, flags, setting):
+        """NaN and infinity fail the range checks instead of training to a
+        checkpoint of non-finite parameters."""
+        tmp_path, _, split_dir = workspace
+        out_dir = tmp_path / "non-finite"
+        code, out, err = self._train(capsys, split_dir, out_dir, extra=flags)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {setting} must be ") and len(err.splitlines()) == 1
+        assert not (out_dir / "model.spck").exists()
+
+    def test_no_evaluable_users_reports_nan(self, tmp_path, capsys):
+        # Each user has one item, which the standard split keeps in train.
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("u0\ti0\nu1\ti1\nu2\ti2\nu3\ti0\n")
+        split_dir, out_dir = tmp_path / "split", tmp_path / "run"
+        code, out, err = run(capsys, ["split", "--input", str(raw), "--out-dir", str(split_dir)])
+        assert code == 0, err
+        assert "test_interactions\t0\n" in out
+        code, _, err = self._train(capsys, split_dir, out_dir)
+        assert code == 0, err
+        code, out, err = run(capsys, ["evaluate", "--split-dir", str(split_dir), "--checkpoint",
+                                      str(out_dir / "model.spck"), "--cutoffs", "1,2",
+                                      "--out-dir", str(out_dir)])
+        assert code == 0, err
+        assert out.splitlines()[1:3] == ["1\tnan\tnan", "2\tnan\tnan"]
+        report = (out_dir / "report.tsv").read_text()
+        assert "n_evaluable_users" in report and "nan" in report
+
     def test_recommend_rejects_non_finite_scores(self, workspace, capsys):
         tmp_path, _, split_dir = workspace
         out_dir = tmp_path / "nan"
@@ -648,6 +741,18 @@ class TestConfigPrecedence:
         ])
         assert code == 1
         assert "bad.cfg: line 1: expected key=value" in err
+
+    def test_non_utf8_config_names_file_and_line(self, workspace, capsys):
+        tmp_path, _, split_dir = workspace
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs=3\nK=\xff\n")
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--config", str(config),
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert err == f"error: {config}: line 2: invalid UTF-8: invalid start byte\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestOutDirEnv:

@@ -66,6 +66,14 @@ class TestParse:
             data.parse_interactions(b"1::2::bad::3\n", "movielens_dat")
         assert exc.value.line_no == 1
 
+    def test_error_names_the_path_when_given(self):
+        for raw, reason in [(b"a\tx\nb\n", "expected 2-4 tab-separated fields, got 1"),
+                            (b"a\tx\nb\xff\tx\n", "invalid UTF-8: invalid start byte")]:
+            with pytest.raises(ParseError, match=f"^line 2: {re.escape(reason)}$"):
+                data.parse_interactions(raw, "tsv")
+            with pytest.raises(ParseError, match=f"^in.tsv: line 2: {re.escape(reason)}$"):
+                data.parse_interactions(raw, "tsv", Path("in.tsv"))
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             data.parse_interactions(b"", "csv")
@@ -194,7 +202,65 @@ def test_first_appearance_order_matches_dict_order():
         assert data._by_first_appearance(codes, 30)[0].tolist() == expected
 
 
+def iterated_to_implicit(columns, min_user_interactions):
+    """``to_implicit`` as it was when its filter looped: drop light users, then
+    items left without a pair, until nothing changes. The oracle for the
+    one-pass filter."""
+    user_ext, u = columns.user_ids, columns.users
+    item_ext, i = columns.item_ids, columns.items
+    n_u, n_i = len(user_ext), len(item_ext)
+    keys, first = np.unique(u * n_i + i, return_index=True)
+    u, i = keys // n_i, keys % n_i
+    keep_u = np.ones(n_u, dtype=bool)
+    keep_i = np.ones(n_i, dtype=bool)
+    while True:
+        live = keep_u[u] & keep_i[i]
+        new_u = np.bincount(u[live], minlength=n_u) >= min_user_interactions
+        new_i = np.bincount(i[live], minlength=n_i) >= 1
+        if np.array_equal(new_u, keep_u) and np.array_equal(new_i, keep_i):
+            break
+        keep_u, keep_i = new_u, new_i
+        if not keep_u.any() or not keep_i.any():
+            raise EmptyDatasetError("no interactions left after filtering")
+    if not live.any():
+        raise EmptyDatasetError("no interactions left after filtering")
+    order = np.argsort(first[live])
+    u, i = u[live], i[live]
+    users, user_code = data._by_first_appearance(u[order], n_u)
+    items, item_code = data._by_first_appearance(i[order], n_i)
+    return data.InteractionSet.from_pairs(
+        len(users), len(items), user_code[u], item_code[i],
+        user_ids=[user_ext[k] for k in users.tolist()],
+        item_ids=[item_ext[k] for k in items.tolist()],
+    )
+
+
+def implicit_or_error(to_implicit, columns, min_user_interactions):
+    try:
+        ds = to_implicit(columns, min_user_interactions)
+    except EmptyDatasetError as exc:
+        return str(exc)
+    return (ds.n_users, ds.n_items, ds.indptr.tolist(), ds.indices.tolist(), ds.user_ids,
+            ds.item_ids)
+
+
 class TestToImplicit:
+    def test_one_pass_filter_matches_the_iterated_one(self):
+        rng = np.random.default_rng(24)
+        outcomes = []
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            users = rng.integers(int(rng.integers(1, 12)), size=n)
+            items = rng.zipf(1.5, size=n) % int(rng.integers(1, 15))
+            raw = "".join(f"u{u}\ti{i}\n" for u, i in zip(users.tolist(), items.tolist()))
+            columns = data.parse_interactions(raw.encode(), "tsv")
+            for m in range(1, 6):
+                expected = implicit_or_error(iterated_to_implicit, columns, m)
+                assert implicit_or_error(data.to_implicit, columns, m) == expected
+                outcomes.append(isinstance(expected, str))
+        # Kept sets and rejections both occur hundreds of times.
+        assert 300 < sum(outcomes) < len(outcomes) - 300
+
     def test_duplicates_collapse(self):
         raws = data.parse_interactions(b"a\tx\na\tx\na\ty\nb\tx\n", "tsv")
         ds = data.to_implicit(raws)
@@ -421,6 +487,28 @@ class TestSplitPersistence:
         err = capsys.readouterr().err
         assert "split.meta" in err and "n_test" in err
 
+    @pytest.mark.parametrize("key", ["n_excluded_users", "n_swapped", "n_rescued"])
+    def test_missing_count_key_rejected(self, tmp_path, toy_set, key):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        meta = tmp_path / "split.meta"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                                if not line.startswith(f"{key}=")))
+        with pytest.raises(SplitFormatError, match=re.escape(f"{meta}: missing key {key!r}")):
+            data.load_split(tmp_path)
+
+    def test_non_utf8_meta_names_file_and_line(self, tmp_path, toy_set, capsys):
+        data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
+        meta = tmp_path / "split.meta"
+        lines = meta.read_bytes().splitlines(keepends=True)
+        assert lines[1].startswith(b"protocol=")
+        meta.write_bytes(b"".join([lines[0], b"protocol=\xff\n", *lines[2:]]))
+        message = f"{meta}: line 2: invalid UTF-8: invalid start byte"
+        for load in (data.load_train, data.load_split):
+            with pytest.raises(ParseError, match=re.escape(message)):
+                load(tmp_path)
+        assert cli.main(["train", "--split-dir", str(tmp_path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_integer_meta_value_names_file_and_key(self, tmp_path, toy_set, capsys):
         data.save_split(data.split_standard(toy_set, 0.8, rng_seed=3), tmp_path)
         meta = tmp_path / "split.meta"
@@ -579,7 +667,7 @@ def cache_split(tmp_path, protocol, seed):
     """A split of a random skewed tsv input, saved with its index cache."""
     rng = np.random.default_rng(seed)
     users, items = rng.integers(40, size=600), rng.zipf(1.5, size=600) % 60
-    raw = "".join(f"u{u}\ti{i}\n" for u, i in zip(users.tolist(), items.tolist()))
+    raw = "".join(f"u{u}\ti{i}\n" for u, i in zip(users.tolist(), items.tolist())).encode()
     ds = data.to_implicit(data.parse_interactions(raw, "tsv"))
     split = (data.split_standard(ds, 0.8, seed) if protocol == "standard"
              else data.split_cold_start(ds, 2, seed))
