@@ -12,6 +12,7 @@ split the parse of its text files.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
 import os
@@ -114,14 +115,6 @@ class InteractionSet:
         access; for comparisons on small sets, never on the data path."""
         return set(zip(self.rows().tolist(), self.indices.tolist()))
 
-    def to_csr(self):
-        """Binary interaction matrix R (n_users x n_items, CSR, float64)."""
-        import scipy.sparse as sp
-
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.n_users, self.n_items), copy=True)
-
     def n_interactions(self) -> int:
         return len(self.indices)
 
@@ -171,10 +164,11 @@ def parse_interactions(raw: bytes, fmt: str, path=None) -> RawColumns:
     Two readers share this contract. The byte scanner (:func:`_scan`) takes
     every file whose records all have one field count and no irregular bytes;
     the line-by-line reader (:func:`_parse_lines`) takes the rest, and is the
-    one that names a bad line.
+    one that names a bad line. Neither sees a leading UTF-8 byte-order mark.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     columns = _scan(raw, fmt)
     return _parse_lines(raw, fmt, path) if columns is None else columns
 
@@ -655,12 +649,12 @@ def save_split(split: SplitPair, out_dir) -> None:
 
 
 def read_key_values(path) -> dict[str, str]:
-    """Read a flat key=value file (a ``--config`` file or split.meta): '#'
-    lines and blanks are skipped, and a key may be given only once. Any other
-    line raises ParseError naming the file and the line."""
+    """Read a flat key=value file (a ``--config`` file or split.meta): a
+    leading byte-order mark, '#' lines and blanks are skipped, and a key may
+    be given only once; any other line raises ParseError naming file and line."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    text = _decode(Path(path).read_bytes(), path)
+    text = _decode(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8), path)
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -70,9 +70,9 @@ def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: boo
 
     Users with empty test sets are skipped and counted separately.
     Evaluable users are scored ``BLOCK_ROWS`` at a time, with one
-    ``V_u[block] @ V_i^T`` product, and ranked by :func:`model.top_m_rows`,
-    which sorts only each row's top candidates, so memory grows with
-    BLOCK_ROWS x n_items, not with the number of users;
+    ``V_u[block] @ V_i^T`` product, and ranked by :func:`model.top_m_rows`
+    without the block's train rows, so memory grows with BLOCK_ROWS x
+    n_items, not with the number of users; the block's test rows mark hits.
     Recall@M and AP@M come from cumulative sums over rank positions, and
     per-user values are summed in ascending user order, as a loop over users
     would.
@@ -80,18 +80,24 @@ def evaluate(factors: FactorTable, split: SplitPair, cutoffs, keep_per_user: boo
     cutoffs = check_cutoffs(cutoffs)
     if map_denom not in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
         raise ValueError(f"unknown map_denom: {map_denom!r}")
-    train = split.train
-    seen, relevant = train.to_csr().astype(bool), split.test.to_csr().astype(bool)
-    n_test = np.diff(split.test.indptr)
+    train, test = split.train, split.test
+    n_test = np.diff(test.indptr)
     users = np.flatnonzero(n_test)
+    # A skipped user has no test row; with its train row emptied too, the
+    # rows of a block's users lie side by side in both halves.
+    seen = train.subset(np.repeat(n_test > 0, np.diff(train.indptr)))
     recall = np.empty((len(users), len(cutoffs)))
     ap = np.empty_like(recall)
     for lo in range(0, len(users), BLOCK_ROWS):
         block = users[lo:lo + BLOCK_ROWS]
+        bounds = np.append(block, block[-1] + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # top_m_rows reports it
-            ranked = top_m_rows(factors.V_u[block] @ factors.V_i.T, seen[block].toarray(),
-                                cutoffs[-1])
-        hit = np.take_along_axis(relevant[block].toarray(), ranked, axis=1) & (ranked >= 0)
+            ranked = top_m_rows(factors.V_u[block] @ factors.V_i.T, seen.indptr[bounds],
+                                seen.indices, cutoffs[-1])
+        first, end = test.indptr[block[0]], test.indptr[block[-1] + 1]
+        relevant = np.zeros((len(block), train.n_items), dtype=bool)
+        relevant[np.repeat(np.arange(len(block)), n_test[block]), test.indices[first:end]] = True
+        hit = np.take_along_axis(relevant, ranked, axis=1) & (ranked >= 0)
         hits = np.cumsum(hit, axis=1)
         # precision@k summed over the hit ranks k, in rank order
         precision_sum = np.cumsum(np.where(hit, hits / np.arange(1, hit.shape[1] + 1), 0.0),

@@ -85,13 +85,13 @@ def build_graph(train: InteractionSet) -> BipartiteGraph:
     """
     if not train.n_interactions():
         raise ValueError("training set is empty")
-    R = train.to_csr()
-    degree = np.concatenate([np.diff(R.indptr), np.bincount(R.indices, minlength=train.n_items)])
+    degree = np.append(np.diff(train.indptr), np.bincount(train.indices, minlength=train.n_items))
     if (degree < 1).any():
         bad = int(np.argmin(degree))
         raise ValueError(f"isolated vertex at index {bad}; degrees must be >= 1")
     d_inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
-    R.data = d_inv_sqrt[train.rows()] * d_inv_sqrt[train.n_users + R.indices]
+    R = sp.csr_matrix((d_inv_sqrt[train.rows()] * d_inv_sqrt[train.n_users + train.indices],
+                       train.indices, train.indptr), shape=(train.n_users, train.n_items))
     T = R.T.tocsr()
     n = train.n_users + train.n_items
     normalized = sp.csr_matrix(

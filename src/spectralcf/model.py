@@ -166,31 +166,32 @@ def check_list_length(M: int) -> None:
         raise ValueError("M must be >= 1")
 
 
-def top_m_rows(scores: np.ndarray, exclude: np.ndarray, M: int) -> np.ndarray:
+def top_m_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, M: int) -> np.ndarray:
     """Row-wise top-M: for each row of ``scores`` (rows x items), the indices
     of its M highest scores, descending, ties by ascending index.
 
-    ``exclude`` is a boolean mask of the same shape; masked items never
-    appear. Returns a rows x min(M, items) array; a row with fewer candidates
-    than that is padded with -1 at its end. Raises NumericError on any
-    non-finite score, masked or not.
+    Row ``r`` never lists the items ``indices[indptr[r]:indptr[r + 1]]`` (CSR
+    rows: ``indptr`` may start past 0, and an item may repeat). Returns a
+    rows x min(M, items) array; a row with fewer candidates than that is
+    padded with -1 at its end. Raises NumericError on any non-finite score,
+    excluded or not.
 
-    A partition finds each row's candidates, the unmasked items scoring at
-    least its min(M, items)-th value; only those are sorted, each row on its
-    own, by one stable argsort of the block.
+    The excluded items are set to -inf in a copy of the scores. A partition
+    finds each row's candidates, the other items scoring at least its
+    min(M, items)-th value; only those are sorted, each row on its own.
     """
     check_list_length(M)
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        r, i = np.argwhere(~np.isfinite(scores))[0]
-        raise NumericError(f"non-finite score {scores[r, i]} at row {r}, item {i}")
-    n_rows, n_items = scores.shape
+    masked = np.array(scores, dtype=np.float64)
+    if not np.isfinite(masked).all():
+        r, i = np.argwhere(~np.isfinite(masked))[0]
+        raise NumericError(f"non-finite score {masked[r, i]} at row {r}, item {i}")
+    n_rows, n_items = masked.shape
     width = min(M, n_items)
-    masked = np.where(exclude, -np.inf, scores)
+    masked[np.repeat(np.arange(n_rows), np.diff(indptr)), indices[indptr[0]:indptr[-1]]] = -np.inf
     # Every candidate scoring at least the width-th largest value; ties at
     # that value can make a row hold more than width of them.
     kth = np.partition(masked, n_items - width, axis=1)[:, n_items - width]
-    candidate = (masked >= kth[:, None]) & ~exclude
+    candidate = (masked >= kth[:, None]) & (masked > -np.inf)
     flat = np.flatnonzero(candidate)
     rows, cols = np.divmod(flat, n_items)
     counts = np.count_nonzero(candidate, axis=1)
@@ -214,7 +215,6 @@ def top_m(scores: np.ndarray, exclude, M: int) -> np.ndarray:
     ``exclude`` is an array of item indices that never appear; fewer than M
     candidates yields a shorter list. One row of :func:`top_m_rows`.
     """
-    mask = np.zeros((1, len(scores)), dtype=bool)
-    mask[0, exclude] = True
-    ranked = top_m_rows(np.asarray(scores)[None, :], mask, M)[0]
+    exclude = np.asarray(exclude, dtype=np.int64)
+    ranked = top_m_rows(np.asarray(scores)[None, :], np.array([0, len(exclude)]), exclude, M)[0]
     return ranked[ranked >= 0]

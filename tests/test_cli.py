@@ -177,6 +177,34 @@ class TestSplit:
         assert len(stdout.splitlines()) == 10
         assert hashlib.sha256(stdout.encode()).hexdigest() == recommend_sha
 
+    def test_scoring_outputs_pinned(self, tmp_path, capsys):
+        """The report metrics on a cold-start P=2 split and a full-length
+        ``recommend --exclude-seen false`` list keep their bytes."""
+        raw = write_movielens(tmp_path / "ratings.dat")
+        split, out = tmp_path / "split", tmp_path / "run"
+        common = ["--split-dir", str(split), "--out-dir", str(out)]
+        ckpt = ["--checkpoint", str(out / "model.spck")]
+        steps = [
+            ["split", "--input", str(raw), "--format", "movielens-dat", "--seed", "5",
+             "--out-dir", str(split), "--protocol", "cold-start", "--p", "2"],
+            ["train", *common, "-K", "2", "-C", "4", "-F", "4", "--epochs", "20",
+             "--batch-size", "64", "--lr", "0.01", "--seed", "0"],
+            ["evaluate", *common, *ckpt, "--cutoffs", "1,5,20"],
+            ["recommend", *common, *ckpt, "--user", "3", "-M", "100",
+             "--exclude-seen", "false"],
+        ]
+        for argv in steps:
+            code, stdout, err = run(capsys, argv)
+            assert code == 0, err
+        body = [ln for ln in (out / "report.tsv").read_text().splitlines(True)
+                if not ln.startswith("#")]
+        assert (hashlib.sha256("".join(body).encode()).hexdigest()
+                == "d9944fdbd750c68f20116b55306ab082f0fd586ea79ee778b83b5931c01d0397")
+        # M exceeds the item count, so every item is listed.
+        assert len(stdout.splitlines()) == data.load_train(split).n_items
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "4d72fdad97335494887cb961a74e19b90dc2617d49139cbbd0fd71111b448eb6")
+
     def test_coordinates_pinned(self, tmp_path, capsys):
         """spectral-embed -k 2 of the pinned split keeps its bytes."""
         split, out = pinned_split(tmp_path, capsys), tmp_path / "embed"
@@ -753,6 +781,27 @@ class TestConfigPrecedence:
         assert code == 1
         assert err == f"error: {config}: line 2: invalid UTF-8: invalid start byte\n"
         assert not (tmp_path / "x").exists()
+
+
+    def test_config_with_byte_order_mark(self, workspace, capsys):
+        """A leading UTF-8 byte-order mark is no part of the first key, and
+        line numbers stay those of the file."""
+        tmp_path, _, split_dir = workspace
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfepochs=3\nK=2\n")
+        code, out, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--config", str(config),
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 0, err
+        assert "epochs\t3" in out
+        config.write_bytes(b"\xef\xbb\xbfepochs=3\nK 2\n")
+        code, _, err = run(capsys, [
+            "train", "--split-dir", str(split_dir), "--config", str(config),
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert f"{config}: line 2: expected key=value" in err
 
 
 class TestOutDirEnv:

@@ -78,6 +78,19 @@ class TestParse:
         with pytest.raises(ValueError):
             data.parse_interactions(b"", "csv")
 
+    @pytest.mark.parametrize("raw, fmt", [
+        (b"u0\ti0\nu1\ti1\nu0\ti1\n", "tsv"),
+        (b"u0\ti0\nu1\ti1\t2\nu0\ti1\n", "tsv"),  # mixed widths: the line reader's
+        (b"3::7::5::0\n6::7::4::0\n3::1::3::0\n", "movielens_dat"),
+    ])
+    def test_leading_byte_order_mark_dropped(self, raw, fmt):
+        """A UTF-8 byte-order mark before the first record is no part of its
+        id, whichever reader takes the file, and line numbers stand."""
+        bom = b"\xef\xbb\xbf"
+        plain = parsed_or_line(data.parse_interactions, raw, fmt)
+        assert parsed_or_line(data.parse_interactions, bom + raw, fmt) == plain
+        assert parsed_or_line(data.parse_interactions, bom + raw + b"broken\n", fmt) == 4
+
 
 def first_appearance_oracle(values):
     """(distinct values in order of first appearance, each value's code)."""
@@ -653,6 +666,16 @@ class TestSplitFilesReadBack:
         assert cli.main(["evaluate", "--split-dir", str(tmp_path), "--checkpoint", "x.spck"]) == 1
         assert f"error: {path}: line {line_no}: " in capsys.readouterr().err
 
+
+    def test_byte_order_mark_splits_as_the_file_without_it(self, tmp_path, capsys):
+        text = b"u0\ti0\nu1\ti0\nu0\ti1\nu2\ti1\nu0\ti2\nu1\ti2\n"
+        for name, raw in [("plain", text), ("bom", b"\xef\xbb\xbf" + text)]:
+            (tmp_path / f"{name}.tsv").write_bytes(raw)
+            assert cli.main(["split", "--input", str(tmp_path / f"{name}.tsv"), "--seed", "0",
+                             "--out-dir", str(tmp_path / name)]) == 0
+        assert re.findall(r"^users\t(\d+)$", capsys.readouterr().out, re.M) == ["3", "3"]
+        for f in ("train.tsv", "test.tsv", "split.meta", data.INDEX_CACHE):
+            assert (tmp_path / "bom" / f).read_bytes() == (tmp_path / "plain" / f).read_bytes()
 
     @pytest.mark.parametrize("command", ["split", "spectral-embed"])
     def test_parse_error_of_an_input_names_the_file(self, tmp_path, capsys, command):

@@ -166,7 +166,9 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         split = self._random_split(rng)
         n_items = split.train.n_items
-        oracle = score_table(split.test.to_csr().toarray().astype(float))
+        table = np.zeros((split.train.n_users, n_items))
+        table[split.test.rows(), split.test.indices] = 1.0
+        oracle = score_table(table)
         big_m = n_items
         report = evaluation.evaluate(oracle, split, [big_m])
         assert report.recall_at[big_m] == pytest.approx(1.0)
@@ -245,6 +247,38 @@ class TestBlockwiseEvaluate:
             table[user, 0] = bad
             with pytest.raises(NumericError):
                 evaluation.evaluate(score_table(table), split, [3])
+
+    def test_skipped_users_between_evaluable_ones(self, monkeypatch):
+        """Users without test items before, between and after evaluable ones,
+        one or several in a row, across block boundaries; a NaN in a skipped
+        user's score row is no error, since that row is never ranked."""
+        rng = np.random.default_rng(15)
+        n_users, n_items = 11, 9
+        skipped = [0, 2, 3, 6, 10]
+        for trial in range(10):
+            held = rng.random((n_users, n_items)) < 0.5
+            held[skipped] = False
+            held[[1, 4, 5, 7, 8, 9], rng.integers(n_items)] = True
+            kept = ~held & (rng.random((n_users, n_items)) < 0.6)
+            kept[np.arange(n_users), rng.integers(n_items, size=n_users)] = True
+            kept &= ~held
+            ids = ([f"u{u}" for u in range(n_users)], [f"i{i}" for i in range(n_items)])
+            train, test = (data.InteractionSet.from_pairs(n_users, n_items, *np.nonzero(m), *ids)
+                           for m in (kept, held))
+            split = data.SplitPair(train, test, data.PROTOCOL_STANDARD, 0.5, seed=trial)
+            table = rng.integers(0, 3, size=(n_users, n_items)).astype(float)
+            table[skipped[trial % len(skipped)], 0] = np.nan
+            scorer = lambda u: table[u]
+            cutoffs = [1, 3, n_items + 1]
+            monkeypatch.setattr(evaluation, "BLOCK_ROWS", trial % 3 + 1)
+            for denom in (MAP_DENOM_TRUNCATED, MAP_DENOM_RELEVANT):
+                report = evaluation.evaluate(score_table(table), split, cutoffs,
+                                             keep_per_user=True, map_denom=denom)
+                recall_ref, map_ref, n_ref = naive_evaluate(scorer, split, cutoffs, denom)
+                assert (report.n_evaluable_users, report.n_skipped_users) == (6, 5) == (n_ref, 5)
+                assert report.recall_at == recall_ref
+                assert report.map_at == map_ref
+                assert report.per_user == naive_rows(scorer, split, cutoffs, denom)
 
     def test_unknown_map_denom_rejected(self):
         split = self._split(np.random.default_rng(14))

@@ -31,7 +31,8 @@ def union_find_components(n_users, n_items, pairs):
 def normalized_by_definition(ds):
     """D^-1/2 A D^-1/2 from the definition: A = [[0, R], [R^T, 0]] and D its
     row sums, as products with diagonal matrices."""
-    R = ds.to_csr()
+    R = sp.csr_matrix((np.ones(ds.n_interactions()), ds.indices, ds.indptr),
+                      shape=(ds.n_users, ds.n_items))
     A = sp.bmat([[None, R], [R.T, None]], format="csr")
     degree = np.asarray(A.sum(axis=1)).ravel().astype(np.int64)
     D = sp.diags(1.0 / np.sqrt(degree.astype(np.float64)))
@@ -164,8 +165,7 @@ class TestEigendecompose:
         items (so B is rank-deficient), plus three small islands."""
         main = random_interactions(rng, min_users=n_users - 1, max_users=n_users - 1,
                                    min_items=n_items, max_items=n_items, density=0.2)
-        R = main.to_csr().tocoo()
-        pairs = set(zip(R.row.tolist(), R.col.tolist()))
+        pairs = main.pairs
         pairs |= {(n_users - 1, i) for u, i in pairs if u == 0}
         twins = make_interactions(n_users, n_items, pairs)
         islands = [make_interactions(1, 2, {(0, 0), (0, 1)}),
@@ -483,8 +483,7 @@ def disjoint_union(rng, blocks):
     and item indices shuffled so that the components interleave."""
     pairs, n_u, n_i = [], 0, 0
     for block in blocks:
-        R = block.to_csr().tocoo()
-        pairs += [(n_u + int(u), n_i + int(i)) for u, i in zip(R.row, R.col)]
+        pairs += [(n_u + u, n_i + i) for u, i in block.pairs]
         n_u, n_i = n_u + block.n_users, n_i + block.n_items
     pu, pi = rng.permutation(n_u), rng.permutation(n_i)
     return make_interactions(n_u, n_i, {(int(pu[u]), int(pi[i])) for u, i in pairs})

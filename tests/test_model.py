@@ -231,7 +231,7 @@ class TestScoring:
             scores[rng.random(n_rows) < 0.3] = 0.25  # rows where every score ties
             exclude = rng.random((n_rows, n)) < 0.4
             M = int(rng.integers(1, n + 3))
-            ranked = model.top_m_rows(scores, exclude, M)
+            ranked = model.top_m_rows(scores, *csr_rows(exclude), M)
             assert ranked.shape == (n_rows, min(M, n))
             for row, mask, got in zip(scores, exclude, ranked):
                 kept = [i for i in range(n) if not mask[i]]
@@ -248,10 +248,46 @@ class TestScoring:
     ])
     def test_top_m_rows_matches_the_lexsort_ranker(self, block, seed):
         scores, exclude, M = ranker_block(block, np.random.default_rng(seed))
-        got = model.top_m_rows(scores, exclude, M)
+        got = model.top_m_rows(scores, *csr_rows(exclude), M)
         expected = lexsort_top_m_rows(scores, exclude, M)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+    def test_top_m_rows_reads_any_csr_rows_of_the_mask(self):
+        """Tie-heavy blocks whose exclusions come as CSR rows with repeated
+        and unordered items, an indptr that starts past 0, rows that exclude
+        everything or nothing, no rows at all and M past the item count: the
+        list is the lexsort ranker's on the same mask."""
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for _ in range(300):
+            n_rows, n = int(rng.integers(0, 12)), int(rng.integers(1, 16))
+            scores = rng.integers(0, 3, size=(n_rows, n)).astype(float)
+            exclude = rng.random((n_rows, n)) < rng.random()
+            exclude[rng.random(n_rows) < 0.2] = True
+            exclude[rng.random(n_rows) < 0.2] = False
+            M = int(rng.integers(1, n + 4))
+            offset = int(rng.integers(0, 4))
+            rows = [rng.permutation(np.concatenate([items, rng.choice(items, size=len(items))]))
+                    if len(items) else items for items in map(np.flatnonzero, exclude)]
+            lengths = [len(items) for items in rows]
+            indptr = offset + np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+            indices = np.concatenate([rng.integers(0, n, size=offset), *rows, [0, 0]]
+                                     ).astype(np.int64)
+            got = model.top_m_rows(scores, indptr, indices, M)
+            assert np.array_equal(got, lexsort_top_m_rows(scores, exclude, M))
+            kinds.update(kind for kind, present in [
+                ("no-rows", not n_rows), ("m-past-items", M > n),
+                ("all-excluded", exclude.all(axis=1).any()),
+                ("none-excluded", (~exclude).all(axis=1).any()),
+                ("repeats", sum(lengths) > exclude.sum())] if present)
+        assert kinds == {"no-rows", "m-past-items", "all-excluded", "none-excluded", "repeats"}
+
+
+def csr_rows(exclude):
+    """The rows of a boolean mask as CSR arrays (indptr, indices)."""
+    indptr = np.concatenate([[0], np.cumsum(exclude.sum(axis=1), dtype=np.int64)])
+    return indptr, np.nonzero(exclude)[1]
 
 
 def lexsort_top_m_rows(scores, exclude, M):
